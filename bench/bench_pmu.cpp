@@ -10,7 +10,8 @@
 //   2. Memory-campaign overhead estimate: the canonical mem-calibration
 //      campaign is timed with the PMU disabled, the number of seam
 //      executions it makes is derived from the plan (two simulated
-//      passes per measure, one seam test per cache level per access),
+//      passes per measure, one seam test per cache level per hierarchy
+//      walk, sub-line strides walking once per line),
 //      and seam-count x per-seam cost must stay under 2% of the
 //      campaign's wall time.  Enforced in both modes.
 //   3. Counting invariance: the identical campaign re-run with all PMU
@@ -113,15 +114,18 @@ benchlib::MemPlanOptions plan_options(bool smoke) {
 }
 
 /// Seam executions one campaign makes with the PMU disabled: each
-/// measure() simulates two passes (cold + steady); an access tests one
-/// seam per cache level it probes, so the cold pass (all misses) probes
-/// every level while the steady pass stops at the level the working set
-/// fits in.  A handful of per-measure seams (pass end, core run,
-/// scheduler and instruction accounting) ride on top.
+/// measure() simulates two passes (cold + steady); a hierarchy walk tests
+/// one seam per cache level it probes, so the cold pass (all misses)
+/// probes every level while the steady pass stops at the level the
+/// working set fits in.  Sub-line strides walk once per L1 line: the
+/// rest of the line's accesses collapse into one counted run, which
+/// tests one seam per pass.  A handful of per-measure seams (pass end,
+/// core run, scheduler and instruction accounting) ride on top.
 std::uint64_t campaign_seam_tests(const benchlib::MemPlanOptions& options,
                                   const sim::MachineSpec& machine) {
   const std::uint64_t levels =
       static_cast<std::uint64_t>(machine.caches.size());
+  const std::uint64_t line = machine.l1().line_bytes;
   std::uint64_t tests = 0;
   for (const std::int64_t size : options.size_levels) {
     // Steady-state accesses probe down to the first level that holds
@@ -136,11 +140,18 @@ std::uint64_t campaign_seam_tests(const benchlib::MemPlanOptions& options,
     }
     for (const std::int64_t stride : options.strides) {
       for (const std::int64_t elem : options.elem_bytes) {
-        const std::uint64_t count = static_cast<std::uint64_t>(size) /
-                                    (static_cast<std::uint64_t>(stride) *
-                                     static_cast<std::uint64_t>(elem));
+        const std::uint64_t stride_bytes =
+            static_cast<std::uint64_t>(stride) *
+            static_cast<std::uint64_t>(elem);
+        const std::uint64_t count =
+            static_cast<std::uint64_t>(size) / stride_bytes;
+        const std::uint64_t runs =
+            stride_bytes < line ? (static_cast<std::uint64_t>(size) +
+                                   line - 1) / line
+                                : 0;
+        const std::uint64_t walks = runs > 0 ? runs : count;
         const std::uint64_t per_measure =
-            count * (levels + steady_probes) + 8;
+            walks * (levels + steady_probes) + 2 * runs + 8;
         tests += per_measure * options.unrolls.size() *
                  options.replications;
       }

@@ -62,19 +62,28 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+/// Args: buffer bytes, stride bytes.  The 8 B stride collapses seven of
+/// every eight accesses into one counted run (the collapsed cost); the
+/// 64 B line stride walks the hierarchy on every access (the per-walk
+/// cost).
 void BM_HierarchyStreamPass(benchmark::State& state) {
   const auto machine = sim::machines::core_i7_2600();
   sim::mem::Hierarchy hierarchy(machine);
   std::vector<std::uint32_t> frames;
   for (std::uint32_t i = 0; i < 32; ++i) frames.push_back(i);
   const sim::mem::Buffer buffer(frames, 4096, state.range(0));
-  const std::size_t count = state.range(0) / 8;
+  const std::size_t stride = static_cast<std::size_t>(state.range(1));
+  const std::size_t count = state.range(0) / stride;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hierarchy.stream_pass(buffer, 8, count));
+    benchmark::DoNotOptimize(hierarchy.stream_pass(buffer, stride, count));
   }
   state.SetItemsProcessed(state.iterations() * count);
 }
-BENCHMARK(BM_HierarchyStreamPass)->Arg(16 * 1024)->Arg(128 * 1024);
+BENCHMARK(BM_HierarchyStreamPass)
+    ->Args({16 * 1024, 8})
+    ->Args({128 * 1024, 8})
+    ->Args({16 * 1024, 64})
+    ->Args({128 * 1024, 64});
 
 void BM_MemSystemMeasure(benchmark::State& state) {
   sim::mem::MemSystemConfig config;

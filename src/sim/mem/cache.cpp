@@ -1,5 +1,7 @@
 #include "sim/mem/cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace cal::sim::mem {
@@ -13,52 +15,44 @@ Cache::Cache(const CacheLevelSpec& spec)
     throw std::invalid_argument(
         "Cache: size must be a multiple of line_bytes * ways");
   }
-  tags_.assign(sets_ * ways_, kInvalidTag);
-  stamp_.assign(sets_ * ways_, 0);
+  pow2_ = std::has_single_bit(spec_.line_bytes) && std::has_single_bit(sets_);
+  if (pow2_) {
+    line_shift_ = static_cast<unsigned>(std::countr_zero(spec_.line_bytes));
+    set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
+    set_mask_ = sets_ - 1;
+  }
+  tags_.assign(sets_ * ways_, 0);
+  fill_.assign(sets_, 0);
 }
 
 bool Cache::access(std::uint64_t paddr) noexcept {
-  const std::uint64_t line = paddr / spec_.line_bytes;
-  const std::size_t set = static_cast<std::size_t>(line % sets_);
-  const std::uint64_t tag = line / sets_;
-  const std::size_t base = set * ways_;
-  ++clock_;
+  const std::uint64_t line = line_of(paddr);
+  const std::size_t set = set_of_line(line);
+  const std::uint64_t tag = tag_of_line(line);
+  std::uint64_t* const ways = tags_.data() + set * ways_;
+  const std::size_t fill = fill_[set];
 
-  std::size_t victim = 0;
-  std::uint64_t victim_stamp = ~0ULL;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    const std::size_t slot = base + w;
-    if (tags_[slot] == tag) {
-      stamp_[slot] = clock_;
+  for (std::size_t r = 0; r < fill; ++r) {
+    if (ways[r] == tag) {
+      // Hit: promote to MRU, ageing the r more recent tags by one.
+      std::copy_backward(ways, ways + r, ways + r + 1);
+      ways[0] = tag;
       ++hits_;
       if (pmu_ != nullptr) pmu_->count(pmu_hit_);
       return true;
     }
-    if (tags_[slot] == kInvalidTag) {
-      // Prefer an empty way; stamp 0 guarantees it wins the LRU scan
-      // below only if no earlier empty way was seen, so pick it directly.
-      victim = w;
-      victim_stamp = 0;
-      // Keep scanning: the tag might still be present in a later way.
-      continue;
-    }
-    if (stamp_[slot] < victim_stamp) {
-      victim = w;
-      victim_stamp = stamp_[slot];
-    }
   }
 
+  // Miss: fill an empty way if any, else evict the LRU (last) tag.
   ++misses_;
   if (pmu_ != nullptr) pmu_->count(pmu_miss_);
-  const std::size_t slot = base + victim;
-  tags_[slot] = tag;
-  stamp_[slot] = clock_;
+  const std::size_t kept = fill < ways_ ? fill : ways_ - 1;
+  std::copy_backward(ways, ways + kept, ways + kept + 1);
+  ways[0] = tag;
+  if (fill < ways_) fill_[set] = static_cast<std::uint32_t>(fill + 1);
   return false;
 }
 
-void Cache::flush() noexcept {
-  tags_.assign(tags_.size(), kInvalidTag);
-  stamp_.assign(stamp_.size(), 0);
-}
+void Cache::flush() noexcept { std::fill(fill_.begin(), fill_.end(), 0u); }
 
 }  // namespace cal::sim::mem

@@ -6,6 +6,15 @@
 // decides which lines compete for the same sets.  That interaction --
 // 4 KB random pages x 4-way L1 on ARM -- is the whole mechanism behind the
 // paper's Fig. 12 anomaly.
+//
+// Representation: each set keeps its valid tags in recency order, most
+// recently used first, plus a fill count.  A hit rotates the tag to the
+// front, a miss shifts the set down one way (dropping the LRU tag once
+// the set is full) and installs at the front.  That is exactly true LRU
+// with empty ways filled first, at 8 bytes per way and no global clock;
+// an access to the MRU line changes nothing, which is what lets
+// Hierarchy::stream_pass collapse same-line runs into one step, and
+// flush() only zeroes the fill counts.
 
 #include <cstdint>
 #include <vector>
@@ -22,6 +31,14 @@ class Cache {
   /// Accesses the line containing `paddr`.  Returns true on hit.  On a
   /// miss the line is installed, evicting the LRU way of its set.
   bool access(std::uint64_t paddr) noexcept;
+
+  /// Counts `k` hits on the line that was accessed last, without a
+  /// lookup: that line is already MRU in its set, so a re-touch leaves
+  /// the recency order unchanged and only the counters move.
+  void credit_mru_hits(std::uint64_t k) noexcept {
+    hits_ += k;
+    if (pmu_ != nullptr) pmu_->count(pmu_hit_, k);
+  }
 
   /// Routes hit/miss events into a simulated PMU file (null detaches;
   /// the detached path costs one predictable null test per access).
@@ -41,27 +58,42 @@ class Cache {
   std::uint64_t misses() const noexcept { return misses_; }
   void reset_counters() noexcept { hits_ = misses_ = 0; }
 
+  /// Line number of a physical address (paddr / line_bytes).
+  std::uint64_t line_of(std::uint64_t paddr) const noexcept {
+    return pow2_ ? paddr >> line_shift_ : paddr / spec_.line_bytes;
+  }
+
   /// Set index of a physical address under this geometry.
   std::size_t set_of(std::uint64_t paddr) const noexcept {
-    return static_cast<std::size_t>((paddr / spec_.line_bytes) % sets_);
+    return set_of_line(line_of(paddr));
   }
 
  private:
+  std::size_t set_of_line(std::uint64_t line) const noexcept {
+    return static_cast<std::size_t>(pow2_ ? line & set_mask_ : line % sets_);
+  }
+  std::uint64_t tag_of_line(std::uint64_t line) const noexcept {
+    return pow2_ ? line >> set_shift_ : line / sets_;
+  }
+
   CacheLevelSpec spec_;
   std::size_t sets_;
   std::size_t ways_;
-  // tags_[set * ways_ + w]; kInvalidTag marks an empty way.
+  // Shift/mask geometry, valid when pow2_ (line size and set count both
+  // powers of two); otherwise line_of/set_of_line/tag_of_line divide.
+  bool pow2_ = false;
+  unsigned line_shift_ = 0;
+  unsigned set_shift_ = 0;
+  std::uint64_t set_mask_ = 0;
+  // tags_[set * ways_ + r] is the r-th most recently used valid tag of
+  // `set`, for r < fill_[set]; ways at or past the fill count are empty.
   std::vector<std::uint64_t> tags_;
-  // stamp_[set * ways_ + w]: LRU recency stamp (larger = more recent).
-  std::vector<std::uint64_t> stamp_;
-  std::uint64_t clock_ = 0;
+  std::vector<std::uint32_t> fill_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   pmu::PmuFile* pmu_ = nullptr;
   pmu::Event pmu_hit_ = pmu::Event::kL1Hits;
   pmu::Event pmu_miss_ = pmu::Event::kL1Misses;
-
-  static constexpr std::uint64_t kInvalidTag = ~0ULL;
 };
 
 }  // namespace cal::sim::mem

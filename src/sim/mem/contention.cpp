@@ -116,6 +116,7 @@ ParallelResult measure_parallel(const MachineSpec& machine,
         std::min<std::size_t>(threads, pmu->cores());
     for (std::size_t t = 0; t < cores; ++t) {
       pmu::PmuFile& file = pmu->core(t);
+      const pmu::PmuSnapshot before = file.snapshot();
       hierarchy.attach_pmu(&file);
       hierarchy.account_pass(cost.cold, 1);
       hierarchy.account_pass(cost.steady, config.nloops - 1);
@@ -125,6 +126,7 @@ ParallelResult measure_parallel(const MachineSpec& machine,
                  static_cast<std::uint64_t>(std::llround(instructions)));
       file.count(pmu::Event::kContentionWaits,
                  static_cast<std::uint64_t>(std::llround(waits)));
+      pmu::publish(file.snapshot().delta_since(before));
     }
     hierarchy.attach_pmu(nullptr);
   }

@@ -22,6 +22,9 @@ Hierarchy::Hierarchy(const MachineSpec& machine) {
   // caches[i-1].miss_stall_cycles and memory costs the last level's
   // miss stall plus the memory stall.
   std::vector<double> hit_stall(caches_.size() + 1, 0.0);
+  // Must stay exactly 0.0: stream_pass counts a collapsed run of k L1
+  // hits without adding any stall, which is bit-identical to the
+  // per-access sum only because each of those k additions adds +0.0.
   hit_stall[0] = 0.0;
   for (std::size_t i = 1; i < caches_.size(); ++i) {
     hit_stall[i] = machine.caches[i - 1].miss_stall_cycles;
@@ -97,24 +100,52 @@ void Hierarchy::stream_pass(const Buffer& buffer, std::size_t stride_bytes,
   // per-pass path performs no allocation.
   out.hits_by_level.assign(caches_.size() + 1, 0);
   double stall = 0.0;
-  std::size_t offset = 0;
   const std::size_t size = buffer.size();
-  // When stride_bytes >= size the stream degenerates: the cyclic wrap
-  // lands back on the same offset every iteration (one line serves the
-  // whole pass), so cache the translation instead of re-walking the page
-  // table for an unchanged offset.
-  std::size_t translated_offset = static_cast<std::size_t>(-1);
-  std::uint64_t paddr = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (offset != translated_offset) {
-      paddr = buffer.translate(offset);
-      translated_offset = offset;
+  const std::size_t page = buffer.page_bytes();
+  Cache& l1 = caches_.front();
+  const std::size_t line_bytes = l1.spec().line_bytes;
+  // The current translation: virtual [seg_lo, seg_lo + seg_len) lies in
+  // one page and maps to physical [seg_paddr, seg_paddr + seg_len).  It
+  // is re-walked only when the stream leaves it, so a pass translates
+  // once per page -- and once in total when a wrapping stride keeps
+  // landing in the same page.
+  std::size_t seg_lo = 0;
+  std::size_t seg_len = 0;
+  std::uint64_t seg_paddr = 0;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < count;) {
+    if (offset - seg_lo >= seg_len) {
+      seg_paddr = buffer.translate(offset);
+      seg_lo = offset;
+      seg_len = std::min(page - static_cast<std::size_t>(seg_paddr % page),
+                         size - offset);
     }
+    const std::uint64_t paddr = seg_paddr + (offset - seg_lo);
     const std::size_t level = access(paddr);
     ++out.hits_by_level[level];
     stall += stall_[level];
-    offset += stride_bytes;
-    if (offset >= size) offset -= size;  // cyclic, like the nloops loop
+
+    // Run collapse: the next accesses that stay in this L1 line (and in
+    // this translation) are L1 hits on the MRU line, which change no
+    // cache state.  Count them in one step; they add no stall because
+    // stall_[0] is exactly 0.0.
+    std::size_t run = 1;
+    if (stride_bytes < line_bytes) {
+      const std::uint64_t left = std::min<std::uint64_t>(
+          (l1.line_of(paddr) + 1) * line_bytes - 1 - paddr,  // in the line
+          seg_lo + seg_len - 1 - offset);  // in the translation
+      const std::size_t more = stride_bytes == 0
+                                   ? count
+                                   : static_cast<std::size_t>(left / stride_bytes);
+      run += std::min(more, count - i - 1);
+      if (run > 1) {
+        out.hits_by_level[0] += run - 1;
+        l1.credit_mru_hits(run - 1);
+      }
+    }
+    i += run;
+    offset += run * stride_bytes;
+    if (offset >= size) offset %= size;  // cyclic, like the nloops loop
   }
   out.accesses = count;
   out.stall_cycles = static_cast<std::uint64_t>(stall);

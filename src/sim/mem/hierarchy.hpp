@@ -39,7 +39,11 @@ class Hierarchy {
   double stall_for_level(std::size_t level) const noexcept;
 
   /// Simulates one pass: accesses buffer[0], buffer[stride_bytes], ...
-  /// for `count` accesses (the MultiMAPS loop reads size/stride elements).
+  /// for `count` accesses (the MultiMAPS loop reads size/stride elements),
+  /// offsets wrapping modulo buffer.size().  Exactly equivalent to
+  /// calling access() on every translated address, but cheaper: the page
+  /// table is walked once per page, and a run of accesses that stays in
+  /// the L1 line just touched is counted as one step of k L1 hits.
   PassCost stream_pass(const Buffer& buffer, std::size_t stride_bytes,
                        std::size_t count) noexcept;
 

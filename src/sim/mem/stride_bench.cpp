@@ -169,7 +169,10 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
   out.l1_hit_rate =
       total_acc > 0.0 ? static_cast<double>(steady_hits[0]) / total_acc : 0.0;
   out.slowdown = slowdown;
-  if (pmu_) out.pmu = pmu_->snapshot().delta_since(pmu_begin);
+  if (pmu_) {
+    out.pmu = pmu_->snapshot().delta_since(pmu_begin);
+    pmu::publish(out.pmu);
+  }
   return out;
 }
 

@@ -42,25 +42,21 @@ const std::array<Event, kEventCount>& all_events() noexcept {
   return events;
 }
 
-bool PmuFile::obs_bridge_enabled() noexcept { return obs::metrics::enabled(); }
-
-namespace detail {
-
-void publish(Event e, std::uint64_t n) {
+void publish(const PmuSnapshot& delta) noexcept {
+  if (!obs::metrics::enabled()) return;
   // Per-event cached registry handles: counter() references are stable
   // for the process lifetime (the registry never destroys instruments),
   // so each event resolves its name at most once per process.
   static std::atomic<obs::metrics::Counter*> cache[kEventCount] = {};
-  const auto i = static_cast<std::size_t>(e);
-  if (i >= kEventCount) return;
-  obs::metrics::Counter* c = cache[i].load(std::memory_order_acquire);
-  if (c == nullptr) {
-    c = &obs::metrics::counter(std::string("sim.pmu.") + kEventNames[i]);
-    cache[i].store(c, std::memory_order_release);
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    if (delta.values[i] == 0) continue;
+    obs::metrics::Counter* c = cache[i].load(std::memory_order_acquire);
+    if (c == nullptr) {
+      c = &obs::metrics::counter(std::string("sim.pmu.") + kEventNames[i]);
+      cache[i].store(c, std::memory_order_release);
+    }
+    c->add(delta.values[i]);
   }
-  c->add(n);
 }
-
-}  // namespace detail
 
 }  // namespace cal::sim::pmu

@@ -84,22 +84,21 @@ struct PmuSnapshot {
   }
 };
 
-namespace detail {
-/// obs::metrics bridge: mirrors each increment into the process-wide
-/// `sim.pmu.<event>` counters so `--metrics` Prometheus output covers
-/// the simulated machine.  Called only when the registry is armed.
-void publish(Event e, std::uint64_t n);
-}  // namespace detail
+/// obs::metrics bridge: adds a measurement's counter delta to the
+/// process-wide `sim.pmu.<event>` counters so `--metrics` Prometheus
+/// output covers the simulated machine.  A file's owner calls it once
+/// per measurement (MemSystem::measure, measure_parallel per core), so
+/// the per-access seams stay plain adds.  One relaxed load when the
+/// registry is disarmed.
+void publish(const PmuSnapshot& delta) noexcept;
 
 /// One core's event-counter file.  Monotonic; read via snapshot() and
 /// delta_since() like a perf_event group read.
 class PmuFile {
  public:
-  /// Adds `n` occurrences of `e`.  Also feeds the obs::metrics bridge
-  /// when the registry is armed (one relaxed load otherwise).
+  /// Adds `n` occurrences of `e`.
   void count(Event e, std::uint64_t n = 1) noexcept {
     values_[static_cast<std::size_t>(e)] += n;
-    if (obs_bridge_enabled()) detail::publish(e, n);
   }
 
   std::uint64_t value(Event e) const noexcept {
@@ -126,8 +125,6 @@ class PmuFile {
   void reset() noexcept { values_.fill(0); }
 
  private:
-  static bool obs_bridge_enabled() noexcept;  ///< obs::metrics::enabled()
-
   std::array<std::uint64_t, kEventCount> values_{};
 };
 

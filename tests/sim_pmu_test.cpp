@@ -307,5 +307,74 @@ TEST(PmuObsBridge, MirrorsCountsIntoTheMetricsRegistry) {
   obs::metrics::disarm();
 }
 
+TEST(PmuObsBridge, PublishesOnceEveryMeasurementAcrossSeveralMeasurements) {
+  if (obs::metrics::kill_switch()) GTEST_SKIP() << "CAL_METRICS=off";
+  obs::metrics::arm();
+  obs::metrics::reset();
+
+  // A DVFS governor and a daemon window make cycles, governor ticks,
+  // frequency transitions and context switches move too.
+  mem::MemSystemConfig config;
+  config.machine = machines::core_i7_2600();
+  config.governor = cpu::GovernorKind::kOndemand;
+  config.daemon_present = true;
+  config.daemon.window_fraction = 0.5;
+  config.enable_pmu = true;
+  mem::MemSystem system(config);
+  Rng rng(11);
+  double now = 0.0;
+  const mem::MeasurementRequest requests[] = {
+      {16 * 1024, 1, {4, 1}, 3},
+      {512 * 1024, 16, {8, 8}, 2},
+      {64 * 1024, 2, {8, 1}, 5},
+      {4 * 1024, 1, {4, 8}, 1},
+  };
+  pmu::PmuSnapshot summed;
+  for (const auto& request : requests) {
+    const auto out = system.measure(request, now, rng);
+    now += out.elapsed_s + 0.5;
+    for (std::size_t i = 0; i < pmu::kEventCount; ++i) {
+      summed.values[i] += out.pmu.values[i];
+    }
+    // Published as each measurement ends, not batched past it.
+    EXPECT_EQ(obs::metrics::counter("sim.pmu.l1_hits").value(),
+              system.pmu()->value(Event::kL1Hits));
+  }
+
+  // Every event's registry total equals the file's total, which equals
+  // the sum of the per-measurement deltas.
+  for (const Event e : pmu::all_events()) {
+    const std::string name = std::string("sim.pmu.") + pmu::event_name(e);
+    EXPECT_EQ(obs::metrics::counter(name).value(), system.pmu()->value(e))
+        << name;
+    EXPECT_EQ(summed[e], system.pmu()->value(e)) << name;
+  }
+  obs::metrics::reset();
+  obs::metrics::disarm();
+}
+
+TEST(PmuObsBridge, ParallelMeasurementPublishesEveryCoreFile) {
+  if (obs::metrics::kill_switch()) GTEST_SKIP() << "CAL_METRICS=off";
+  obs::metrics::arm();
+  obs::metrics::reset();
+
+  const MachineSpec machine = machines::core_i7_2600();
+  pmu::Pmu pmu(static_cast<std::size_t>(machine.cores));
+  mem::ParallelConfig config;
+  config.size_bytes = 1024 * 1024;
+  config.threads = 3;
+  mem::measure_parallel(machine, config, &pmu);
+  mem::measure_parallel(machine, config, &pmu);
+
+  const pmu::PmuSnapshot total = pmu.aggregate();
+  EXPECT_GT(total[Event::kCycles], 0u);
+  for (const Event e : pmu::all_events()) {
+    const std::string name = std::string("sim.pmu.") + pmu::event_name(e);
+    EXPECT_EQ(obs::metrics::counter(name).value(), total[e]) << name;
+  }
+  obs::metrics::reset();
+  obs::metrics::disarm();
+}
+
 }  // namespace
 }  // namespace cal::sim
