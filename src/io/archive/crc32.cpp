@@ -5,9 +5,9 @@
 namespace cal::io::archive {
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  // Dispatched: bytewise table (scalar tier), slice-by-8 (sse42), or
-  // PCLMULQDQ folding (avx2).  Every tier computes the same IEEE 802.3
-  // CRC; the simd kernel tests pin them against each other.
+  // Dispatched: bytewise table (scalar tier) or PCLMULQDQ folding
+  // (avx2).  Both tiers compute the same IEEE 802.3 CRC; the simd kernel
+  // tests pin them against each other.
   return simd::kernels().crc32(data, size, seed);
 }
 

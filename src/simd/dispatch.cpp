@@ -1,6 +1,7 @@
 #include "simd/dispatch.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 
 #include "simd/kernels.hpp"
@@ -23,43 +24,32 @@ const Kernels kScalarTable = {
     detail::mask_count_scalar,
 };
 
-const Kernels kSse42Table = {
-    detail::delta_varint_decode_sse42,
-    detail::crc32_slice8,
+// The varint decode, Welford fold and mask AND/OR failed the keep rule
+// (dispatch.hpp): the vector varint scan only pays on runs of one-byte
+// varints and loses on multi-byte ones, a vector fold only skipped
+// masked-off runs, and the compiler already vectorizes the scalar
+// AND/OR loops.
+const Kernels kAvx2Table = {
+    detail::delta_varint_decode_scalar,
+    detail::crc32_clmul,
     detail::lz_match_copy_chunked,
     detail::f64le_decode_bulk,
-    detail::cmp_mask_f64_sse42,
-    detail::cmp_mask_i64_sse42,
-    detail::welford_fold_sse42,
-    detail::mask_and_sse42,
-    detail::mask_or_sse42,
-    detail::mask_not_sse42,
-    detail::mask_count_sse42,
+    detail::cmp_mask_f64_avx2,
+    detail::cmp_mask_i64_avx2,
+    detail::welford_fold_scalar,
+    detail::mask_and_scalar,
+    detail::mask_or_scalar,
+    detail::mask_not_avx2,
+    detail::mask_count_avx2,
 };
 
-/// Assembled at startup: avx2 everywhere, but the CLMUL CRC only when
-/// the CPU actually has PCLMULQDQ (AVX2 does not imply it).
-Kernels make_avx2_table(bool have_pclmul) {
-  Kernels k = {
-      detail::delta_varint_decode_avx2,
-      have_pclmul ? detail::crc32_clmul : detail::crc32_slice8,
-      detail::lz_match_copy_chunked,
-      detail::f64le_decode_bulk,
-      detail::cmp_mask_f64_avx2,
-      detail::cmp_mask_i64_avx2,
-      detail::welford_fold_avx2,
-      detail::mask_and_avx2,
-      detail::mask_or_avx2,
-      detail::mask_not_avx2,
-      detail::mask_count_avx2,
-  };
-  return k;
-}
-
+/// AVX2 does not imply PCLMULQDQ; the avx2 table needs both, so a CPU
+/// with only one of them runs the scalar table.
 Level probe_best() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul")) {
+    return Level::kAvx2;
+  }
 #endif
   return Level::kScalar;
 }
@@ -71,31 +61,23 @@ Level clamp(Level level) noexcept {
 }
 
 const Kernels& table_for(Level level) noexcept {
-  static const Kernels avx2_table = make_avx2_table(
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_cpu_supports("pclmul")
-#else
-      false
-#endif
-  );
-  switch (level) {
-    case Level::kScalar: return kScalarTable;
-    case Level::kSse42: return kSse42Table;
-    case Level::kAvx2: return avx2_table;
-  }
-  return kScalarTable;
+  return level == Level::kAvx2 ? kAvx2Table : kScalarTable;
 }
 
 Level initial_level() noexcept {
   const char* env = std::getenv("CAL_SIMD");
-  Level level = best_supported();
-  if (env != nullptr) {
-    Level parsed = Level::kScalar;
-    if (parse_level(env, &parsed)) level = clamp(parsed);
-    // An unknown CAL_SIMD value falls back to the probed best rather
-    // than failing: the variable is a testing knob, not config.
-  }
-  return level;
+  const Level best = best_supported();
+  if (env == nullptr) return best;
+  Level parsed = Level::kScalar;
+  if (parse_level(env, &parsed)) return clamp(parsed);
+  // The variable is a testing knob, not config: an unknown value keeps
+  // the probed best, but says so -- a stale value in a script would
+  // otherwise quietly test a different level than it names.
+  std::fprintf(stderr,
+               "calipers: ignoring unknown CAL_SIMD=\"%s\" (accepted: "
+               "scalar|avx2); using %s\n",
+               env, to_string(best));
+  return best;
 }
 
 std::atomic<const Kernels*>& active_table() noexcept {
@@ -103,17 +85,11 @@ std::atomic<const Kernels*>& active_table() noexcept {
   return table;
 }
 
-std::atomic<Level>& active_level_state() noexcept {
-  static std::atomic<Level> level{initial_level()};
-  return level;
-}
-
 }  // namespace
 
 const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse42: return "sse42";
     case Level::kAvx2: return "avx2";
   }
   return "?";
@@ -121,7 +97,6 @@ const char* to_string(Level level) noexcept {
 
 bool parse_level(const std::string& name, Level* out) noexcept {
   if (name == "scalar") { *out = Level::kScalar; return true; }
-  if (name == "sse42") { *out = Level::kSse42; return true; }
   if (name == "avx2") { *out = Level::kAvx2; return true; }
   return false;
 }
@@ -132,13 +107,11 @@ Level best_supported() noexcept {
 }
 
 Level active_level() noexcept {
-  return active_level_state().load(std::memory_order_acquire);
+  return &kernels() == &kAvx2Table ? Level::kAvx2 : Level::kScalar;
 }
 
 void set_level(Level level) noexcept {
-  const Level clamped = clamp(level);
-  active_level_state().store(clamped, std::memory_order_release);
-  active_table().store(&table_for(clamped), std::memory_order_release);
+  active_table().store(&table_for(clamp(level)), std::memory_order_release);
 }
 
 const Kernels& kernels() noexcept {

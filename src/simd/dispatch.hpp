@@ -6,22 +6,30 @@
 // predicate compare loops, Welford folds -- run through a table of
 // function pointers selected once at startup by CPUID probe:
 //
-//   scalar   faithful ports of the original byte-at-a-time loops
-//   sse42    16-byte varint scanning, slice-by-8 CRC, chunked copies
-//   avx2     32-byte variants plus PCLMULQDQ-folded CRC and vector
-//            compare kernels
+//   scalar   faithful ports of the original byte-at-a-time loops: the
+//            reference every other level is tested against
+//   avx2     PCLMULQDQ-folded CRC, 4-lane compare kernels, 32-byte
+//            mask NOT and popcount, and the memcpy-based LZ copy and
+//            f64 decode; requires AVX2 *and* PCLMULQDQ, otherwise the
+//            probe settles on scalar
 //
-// The invariant that keeps the tiers honest: every kernel produces
+// A vector kernel stays in the avx2 table only while bench_simd shows
+// it >= 1.5x the scalar loop on at least one archive-shaped input;
+// where it does not (the varint decode, the Welford fold, mask
+// AND/OR), the avx2 table points at the scalar kernel.
+//
+// The invariant that keeps the levels honest: every kernel produces
 // byte-identical output at every level.  Integer kernels are exact by
 // construction; the floating-point kernels either perform no arithmetic
-// (compares, f64 decode) or keep the exact scalar IEEE recurrence and
-// vectorize only the skipping of masked-off runs (welford_fold).  The
-// kernel translation units are compiled with -ffp-contract=off so no
-// tier silently fuses a multiply-add the others do not.
+// (compares, f64 decode) or are the scalar IEEE recurrence itself
+// (welford_fold).  The kernel translation units are compiled with
+// -ffp-contract=off so neither level silently fuses a multiply-add the
+// other does not.
 //
-// `CAL_SIMD=scalar|sse42|avx2` pins the level from the environment
-// (clamped to what the CPU supports); set_level() is the same hook
-// in-process for tests and benchmarks.
+// `CAL_SIMD=scalar|avx2` pins the level from the environment (clamped
+// to what the CPU supports; an unknown value warns on stderr and keeps
+// the probed best); set_level() is the same hook in-process for tests
+// and benchmarks.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,11 +38,11 @@
 
 namespace cal::simd {
 
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
 const char* to_string(Level level) noexcept;
 
-/// Parses "scalar" / "sse42" / "avx2" (the CAL_SIMD vocabulary).
+/// Parses "scalar" / "avx2" (the CAL_SIMD vocabulary).
 bool parse_level(const std::string& name, Level* out) noexcept;
 
 /// Comparison ops of the compare kernels.  Doubles follow IEEE
@@ -91,9 +99,8 @@ struct Kernels {
 
   /// Folds values[i] (where mask[i]; all records when mask == nullptr)
   /// into `acc` in index order with the exact scalar Welford + extrema
-  /// recurrence.  The arithmetic is identical at every level; vector
-  /// units only skip masked-off runs, so results are bit-identical
-  /// across levels by construction.
+  /// recurrence.  Every level runs the scalar fold, so results are
+  /// bit-identical across levels by construction.
   void (*welford_fold)(const double* values, const char* mask,
                        std::size_t n, WelfordBatch* acc);
 

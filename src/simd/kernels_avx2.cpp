@@ -1,12 +1,15 @@
-// AVX2 kernel tier: 32-byte varint scanning, PCLMULQDQ-folded CRC-32
-// (the Intel "Fast CRC Computation Using PCLMULQDQ" reduction over the
-// reflected IEEE polynomial), 4-lane compare kernels, and 32-byte mask
-// combinators.  Compiled with -mavx2 -mpclmul -ffp-contract=off.
+// AVX2 kernel tier: PCLMULQDQ-folded CRC-32 (the Intel "Fast CRC
+// Computation Using PCLMULQDQ" reduction over the reflected IEEE
+// polynomial), 4-lane compare kernels, 32-byte mask NOT and popcount,
+// and the memcpy-based LZ match copy and f64 column decode.  Compiled
+// with -mavx2 -mpclmul -ffp-contract=off.  The varint decode, Welford
+// fold and mask AND/OR of this tier are the scalar ones (see
+// dispatch.cpp).
 
 #include <bit>
 #include <cstring>
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__PCLMUL__)
 #include <immintrin.h>
 #endif
 
@@ -14,48 +17,39 @@
 
 namespace cal::simd::detail {
 
-#if defined(__AVX2__)
+// Portable C++: these need no intrinsics, only a level whose tests and
+// floors cover them.  They stay out of the scalar tier so that tier
+// remains the byte-loop reference.
 
-std::size_t delta_varint_decode_avx2(const unsigned char* data,
-                                     std::size_t size, std::size_t n,
-                                     std::uint64_t* out) {
-  std::size_t pos = 0, i = 0;
-  std::int64_t prev = 0;
-  while (i < n) {
-    if (size - pos >= 32) {
-      const __m256i chunk =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + pos));
-      const std::uint32_t cont =
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(chunk));
-      const std::size_t run = cont == 0 ? 32 : std::countr_zero(cont);
-      const std::size_t take = run < n - i ? run : n - i;
-      for (std::size_t j = 0; j < take; ++j) {
-        prev += unzigzag(data[pos + j]);
-        out[i + j] = static_cast<std::uint64_t>(prev);
-      }
-      pos += take;
-      i += take;
-      if (i == n) break;
-      if (run == 32) continue;
-      std::uint64_t v = 0;
-      const std::size_t used = decode_one_varint(data + pos, size - pos, &v);
-      if (used == 0) return kDecodeError;
-      pos += used;
-      prev += unzigzag(v);
-      out[i++] = static_cast<std::uint64_t>(prev);
-      continue;
-    }
-    std::uint64_t v = 0;
-    const std::size_t used = decode_one_varint(data + pos, size - pos, &v);
-    if (used == 0) return kDecodeError;
-    pos += used;
-    prev += unzigzag(v);
-    out[i++] = static_cast<std::uint64_t>(prev);
+void lz_match_copy_chunked(char* dst, std::size_t offset, std::size_t len) {
+  if (offset >= len) {
+    // Non-overlapping: one straight copy.
+    std::memcpy(dst, dst - offset, len);
+    return;
   }
-  return pos;
+  // Overlapping back-reference: the match replicates a period-`offset`
+  // pattern.  Seed one period, then double the filled prefix -- each
+  // copy's source and destination are disjoint, and every copy starts
+  // at a multiple of the period, so replication semantics are
+  // preserved while copies run chunk-at-a-time.
+  std::memcpy(dst, dst - offset, offset);
+  std::size_t filled = offset;
+  while (filled < len) {
+    const std::size_t chunk = filled < len - filled ? filled : len - filled;
+    std::memcpy(dst + filled, dst, chunk);
+    filled += chunk;
+  }
 }
 
-#if defined(__PCLMUL__)
+void f64le_decode_bulk(const void* src, std::size_t n, double* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, src, n * sizeof(double));
+  } else {
+    f64le_decode_scalar(src, n, out);
+  }
+}
+
+#if defined(__AVX2__) && defined(__PCLMUL__)
 
 namespace {
 
@@ -161,25 +155,32 @@ std::uint32_t crc32_clmul_raw(const unsigned char* buf, std::size_t len,
 std::uint32_t crc32_clmul(const void* data, std::size_t size,
                           std::uint32_t seed) {
   // The folded body needs >= 64 bytes and eats whole 16-byte chunks;
-  // route the rest (small buffers, tails) through slice-by-8.
-  if (size < 64) return crc32_slice8(data, size, seed);
+  // route the rest (small buffers, tails) through the bytewise table.
+  if (size < 64) return crc32_scalar(data, size, seed);
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t folded = size & ~static_cast<std::size_t>(15);
   std::uint32_t raw = seed ^ 0xFFFFFFFFu;
   raw = crc32_clmul_raw(p, folded, raw);
-  return crc32_slice8(p + folded, size - folded, raw ^ 0xFFFFFFFFu);
+  return crc32_scalar(p + folded, size - folded, raw ^ 0xFFFFFFFFu);
 }
-
-#else  // !__PCLMUL__
-
-std::uint32_t crc32_clmul(const void* data, std::size_t size,
-                          std::uint32_t seed) {
-  return crc32_slice8(data, size, seed);
-}
-
-#endif  // __PCLMUL__
 
 namespace {
+
+/// Writes the low 4 bits of a movemask as 0/1 bytes at mask[0, 4), or
+/// ANDs them in when refining: the multiply moves bit j to bit 8j (the
+/// shifted copies never overlap, so no carries), which on little-endian
+/// x86 is byte j -- one 4-byte store instead of four.
+template <bool refine>
+inline void store_mask4(char* mask, int m) {
+  std::uint32_t word =
+      (static_cast<std::uint32_t>(m) * 0x204081u) & 0x01010101u;
+  if constexpr (refine) {
+    std::uint32_t old = 0;
+    std::memcpy(&old, mask, 4);
+    word &= old;
+  }
+  std::memcpy(mask, &word, 4);
+}
 
 template <bool refine, int imm>
 inline void cmp_mask_f64_loop(const void* values, std::size_t n, Cmp op,
@@ -191,13 +192,7 @@ inline void cmp_mask_f64_loop(const void* values, std::size_t n, Cmp op,
     const __m256d v =
         _mm256_loadu_pd(reinterpret_cast<const double*>(p + 8 * i));
     const int m = _mm256_movemask_pd(_mm256_cmp_pd(v, vlit, imm));
-    for (int j = 0; j < 4; ++j) {
-      if constexpr (refine) {
-        mask[i + j] &= static_cast<char>((m >> j) & 1);
-      } else {
-        mask[i + j] = static_cast<char>((m >> j) & 1);
-      }
-    }
+    store_mask4<refine>(mask + i, m);
   }
   for (; i < n; ++i) {
     if (refine && !mask[i]) continue;
@@ -260,13 +255,7 @@ inline void cmp_mask_i64_impl(const std::int64_t* values, std::size_t n,
       default: r = _mm256_setzero_si256(); break;
     }
     const int m = _mm256_movemask_pd(_mm256_castsi256_pd(r));
-    for (int j = 0; j < 4; ++j) {
-      if constexpr (refine) {
-        mask[i + j] &= static_cast<char>((m >> j) & 1);
-      } else {
-        mask[i + j] = static_cast<char>((m >> j) & 1);
-      }
-    }
+    store_mask4<refine>(mask + i, m);
   }
   for (; i < n; ++i) {
     if (refine && !mask[i]) continue;
@@ -294,56 +283,8 @@ void cmp_mask_i64_avx2(const std::int64_t* values, std::size_t n, Cmp op,
   }
 }
 
-void welford_fold_avx2(const double* values, const char* mask,
-                       std::size_t n, WelfordBatch* acc) {
-  if (mask == nullptr) {
-    welford_fold_scalar(values, nullptr, n, acc);
-    return;
-  }
-  // Vectorized skipping only: one testz answers "any survivor in these
-  // 32 records"; survivors fold through the exact scalar recurrence in
-  // index order, so the result is bit-identical at every level.
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    if (_mm256_testz_si256(m, m)) continue;
-    for (std::size_t j = 0; j < 32; ++j) {
-      if (mask[i + j]) welford_push(*acc, values[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    if (mask[i]) welford_push(*acc, values[i]);
-  }
-}
-
-void mask_and_avx2(char* dst, const char* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_and_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] &= src[i];
-}
-
-void mask_or_avx2(char* dst, const char* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_or_si256(a, b));
-  }
-  for (; i < n; ++i) dst[i] |= src[i];
-}
-
 void mask_not_avx2(char* mask, std::size_t n) {
+  // Mask bytes are strictly 0/1 (kernel contract), so NOT is XOR 1.
   std::size_t i = 0;
   const __m256i one = _mm256_set1_epi8(1);
   for (; i + 32 <= n; i += 32) {
@@ -372,40 +313,25 @@ std::size_t mask_count_avx2(const char* mask, std::size_t n) {
   return count;
 }
 
-#else  // !__AVX2__: the tier still links, delegating down.
+#else  // no AVX2 + PCLMUL: the tier still links, delegating to scalar.
 
-std::size_t delta_varint_decode_avx2(const unsigned char* data,
-                                     std::size_t size, std::size_t n,
-                                     std::uint64_t* out) {
-  return delta_varint_decode_sse42(data, size, n, out);
-}
 std::uint32_t crc32_clmul(const void* data, std::size_t size,
                           std::uint32_t seed) {
-  return crc32_slice8(data, size, seed);
+  return crc32_scalar(data, size, seed);
 }
 void cmp_mask_f64_avx2(const void* values, std::size_t n, Cmp op,
                        double lit, char* mask, bool refine) {
-  cmp_mask_f64_sse42(values, n, op, lit, mask, refine);
+  cmp_mask_f64_scalar(values, n, op, lit, mask, refine);
 }
 void cmp_mask_i64_avx2(const std::int64_t* values, std::size_t n, Cmp op,
                        std::int64_t lit, char* mask, bool refine) {
-  cmp_mask_i64_sse42(values, n, op, lit, mask, refine);
+  cmp_mask_i64_scalar(values, n, op, lit, mask, refine);
 }
-void welford_fold_avx2(const double* values, const char* mask,
-                       std::size_t n, WelfordBatch* acc) {
-  welford_fold_sse42(values, mask, n, acc);
-}
-void mask_and_avx2(char* dst, const char* src, std::size_t n) {
-  mask_and_sse42(dst, src, n);
-}
-void mask_or_avx2(char* dst, const char* src, std::size_t n) {
-  mask_or_sse42(dst, src, n);
-}
-void mask_not_avx2(char* mask, std::size_t n) { mask_not_sse42(mask, n); }
+void mask_not_avx2(char* mask, std::size_t n) { mask_not_scalar(mask, n); }
 std::size_t mask_count_avx2(const char* mask, std::size_t n) {
-  return mask_count_sse42(mask, n);
+  return mask_count_scalar(mask, n);
 }
 
-#endif  // __AVX2__
+#endif  // __AVX2__ && __PCLMUL__
 
 }  // namespace cal::simd::detail

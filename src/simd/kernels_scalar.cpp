@@ -1,7 +1,7 @@
 // Scalar kernel tier: faithful ports of the byte-at-a-time loops the
 // archive and query engine ran before the dispatch layer existed.  This
-// tier is the semantic reference the vector tiers are tested against,
-// and what CAL_SIMD=scalar pins in CI.
+// tier is the semantic reference the avx2 tier is tested against, and
+// what CAL_SIMD=scalar pins in CI.
 
 #include <array>
 #include <cstring>
@@ -42,14 +42,9 @@ std::array<std::uint32_t, 256> make_crc_table() {
 
 }  // namespace
 
-const std::array<std::uint32_t, 256>& crc32_byte_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
-
 std::uint32_t crc32_scalar(const void* data, std::size_t size,
                            std::uint32_t seed) {
-  const std::array<std::uint32_t, 256>& table = crc32_byte_table();
+  static const std::array<std::uint32_t, 256> table = make_crc_table();
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {

@@ -67,7 +67,7 @@ TEST(PmuProperty, CounterColumnsBitIdenticalAcrossWorkersAndSimdLevels) {
   }
 
   // The archived bundle round-trips byte-identically at every SIMD tier
-  // the CPU supports (scalar always; sse42/avx2 when present).
+  // the CPU supports (scalar always; avx2 when present).
   const auto dir =
       std::filesystem::temp_directory_path() / "calipers_pmu_property";
   std::filesystem::remove_all(dir);
@@ -82,8 +82,7 @@ TEST(PmuProperty, CounterColumnsBitIdenticalAcrossWorkersAndSimdLevels) {
   result.write_dir(dir.string(), archive);
 
   const simd::Level saved = simd::active_level();
-  for (const simd::Level level :
-       {simd::Level::kScalar, simd::Level::kSse42, simd::Level::kAvx2}) {
+  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2}) {
     if (level > simd::best_supported()) continue;
     simd::set_level(level);
     const CampaignResult read = CampaignResult::read_dir(dir.string());

@@ -371,8 +371,8 @@ MeasureResult nan_bearing_measure(const PlannedRun& run, MeasureContext& ctx) {
 // produce byte-identical aggregate and materialize CSVs for randomized
 // plans and predicates, including NaN-bearing metric columns.
 TEST(QueryProperty, DispatchLevelsProduceByteIdenticalResults) {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  for (const simd::Level l : {simd::Level::kSse42, simd::Level::kAvx2}) {
+  std::vector<simd::Level> levels;
+  for (const simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2}) {
     if (l <= simd::best_supported()) levels.push_back(l);
   }
   const simd::Level before = simd::active_level();

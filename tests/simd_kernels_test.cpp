@@ -28,22 +28,37 @@ using simd::Kernels;
 using simd::Level;
 
 std::vector<Level> levels_under_test() {
-  std::vector<Level> levels{Level::kScalar};
-  if (simd::best_supported() >= Level::kSse42) levels.push_back(Level::kSse42);
-  if (simd::best_supported() >= Level::kAvx2) levels.push_back(Level::kAvx2);
+  std::vector<Level> levels;
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
+    if (level <= simd::best_supported()) levels.push_back(level);
+  }
   return levels;
 }
 
 TEST(SimdDispatch, LevelNamesRoundTrip) {
-  for (const Level level :
-       {Level::kScalar, Level::kSse42, Level::kAvx2}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2}) {
     Level parsed = Level::kScalar;
     ASSERT_TRUE(simd::parse_level(simd::to_string(level), &parsed));
     EXPECT_EQ(parsed, level);
   }
   Level parsed = Level::kScalar;
+  EXPECT_FALSE(simd::parse_level("sse42", &parsed));  // retired level
   EXPECT_FALSE(simd::parse_level("sse9000", &parsed));
   EXPECT_FALSE(simd::parse_level("", &parsed));
+}
+
+// The avx2 table hard-wires the CLMUL CRC, so the probe may only pick
+// it on a CPU that has PCLMULQDQ as well as AVX2.
+TEST(SimdDispatch, Avx2LevelImpliesPclmul) {
+  if (simd::best_supported() != Level::kAvx2) {
+    GTEST_SKIP() << "best level is " << simd::to_string(simd::best_supported());
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_TRUE(__builtin_cpu_supports("avx2"));
+  EXPECT_TRUE(__builtin_cpu_supports("pclmul"));
+#else
+  ADD_FAILURE() << "avx2 level selected on a non-x86 build";
+#endif
 }
 
 TEST(SimdDispatch, SetLevelClampsToSupportAndRestores) {
