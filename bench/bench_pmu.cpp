@@ -9,11 +9,10 @@
 //      every instrumented model site pays when enable_pmu is off.
 //   2. Memory-campaign overhead estimate: the canonical mem-calibration
 //      campaign is timed with the PMU disabled, the number of seam
-//      executions it makes is derived from the plan (two simulated
-//      passes per measure, one seam test per cache level per hierarchy
-//      walk, sub-line strides walking once per line),
-//      and seam-count x per-seam cost must stay under 2% of the
-//      campaign's wall time.  Enforced in both modes.
+//      executions it makes is derived from the plan (a fixed handful per
+//      measure: the closed-form cache cost walks no tag array), and
+//      seam-count x per-seam cost must stay under 2% of the campaign's
+//      wall time.  Enforced in both modes.
 //   3. Counting invariance: the identical campaign re-run with all PMU
 //      events recorded must report byte-identical timing metrics
 //      (bandwidth, elapsed, frequency, hit rate) -- the counters ride
@@ -113,52 +112,14 @@ benchlib::MemPlanOptions plan_options(bool smoke) {
   return options;
 }
 
-/// Seam executions one campaign makes with the PMU disabled: each
-/// measure() simulates two passes (cold + steady); a hierarchy walk tests
-/// one seam per cache level it probes, so the cold pass (all misses)
-/// probes every level while the steady pass stops at the level the
-/// working set fits in.  Sub-line strides walk once per L1 line: the
-/// rest of the line's accesses collapse into one counted run, which
-/// tests one seam per pass.  A handful of per-measure seams (pass end,
-/// core run, scheduler and instruction accounting) ride on top.
-std::uint64_t campaign_seam_tests(const benchlib::MemPlanOptions& options,
-                                  const sim::MachineSpec& machine) {
-  const std::uint64_t levels =
-      static_cast<std::uint64_t>(machine.caches.size());
-  const std::uint64_t line = machine.l1().line_bytes;
-  std::uint64_t tests = 0;
-  for (const std::int64_t size : options.size_levels) {
-    // Steady-state accesses probe down to the first level that holds
-    // the buffer.
-    std::uint64_t steady_probes = 1;
-    for (std::size_t i = 0; i < machine.caches.size(); ++i) {
-      if (static_cast<std::uint64_t>(size) <=
-          machine.caches[i].size_bytes) {
-        break;
-      }
-      steady_probes = std::min<std::uint64_t>(steady_probes + 1, levels);
-    }
-    for (const std::int64_t stride : options.strides) {
-      for (const std::int64_t elem : options.elem_bytes) {
-        const std::uint64_t stride_bytes =
-            static_cast<std::uint64_t>(stride) *
-            static_cast<std::uint64_t>(elem);
-        const std::uint64_t count =
-            static_cast<std::uint64_t>(size) / stride_bytes;
-        const std::uint64_t runs =
-            stride_bytes < line ? (static_cast<std::uint64_t>(size) +
-                                   line - 1) / line
-                                : 0;
-        const std::uint64_t walks = runs > 0 ? runs : count;
-        const std::uint64_t per_measure =
-            walks * (levels + steady_probes) + 2 * runs + 8;
-        tests += per_measure * options.unrolls.size() *
-                 options.replications;
-      }
-    }
-  }
-  return tests;
-}
+/// Seam executions one measure() makes with the PMU disabled.  Its
+/// cache cost is the closed form of Hierarchy::steady_state_cost (this
+/// plan has one line size, distinct frames and no wrapping pass), which
+/// walks no tag array, so no seam runs per access or per hierarchy walk.
+/// What is left is per measure: the PMU snapshot, the two account_pass
+/// folds, the scheduler and instruction accounting, the core's cycle
+/// count and the output delta.  The performance governor never ticks.
+constexpr std::uint64_t kSeamTestsPerMeasure = 6;
 
 }  // namespace
 
@@ -201,7 +162,7 @@ int main(int argc, char** argv) {
     if (!off_result || s < off_s) off_result = std::move(result);
     off_s = std::min(off_s, s);
   }
-  const std::uint64_t seam_tests = campaign_seam_tests(plan, config.machine);
+  const std::uint64_t seam_tests = kSeamTestsPerMeasure * design.size();
   const double overhead =
       static_cast<double>(seam_tests) * seam_ns / std::max(off_s * 1e9, 1.0);
   std::cout << "PMU off: " << io::TextTable::num(off_s, 4) << " s, "

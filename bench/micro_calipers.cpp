@@ -62,16 +62,23 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+/// A buffer of `bytes` on consecutive page frames.
+sim::mem::Buffer sequential_buffer(std::size_t bytes) {
+  std::vector<std::uint32_t> frames;
+  for (std::uint32_t i = 0; i * std::size_t{4096} < bytes; ++i) {
+    frames.push_back(i);
+  }
+  return sim::mem::Buffer(frames, 4096, bytes);
+}
+
 /// Args: buffer bytes, stride bytes.  The 8 B stride collapses seven of
 /// every eight accesses into one counted run (the collapsed cost); the
 /// 64 B line stride walks the hierarchy on every access (the per-walk
-/// cost).
+/// cost).  One warm pass per iteration.
 void BM_HierarchyStreamPass(benchmark::State& state) {
   const auto machine = sim::machines::core_i7_2600();
   sim::mem::Hierarchy hierarchy(machine);
-  std::vector<std::uint32_t> frames;
-  for (std::uint32_t i = 0; i < 32; ++i) frames.push_back(i);
-  const sim::mem::Buffer buffer(frames, 4096, state.range(0));
+  const sim::mem::Buffer buffer = sequential_buffer(state.range(0));
   const std::size_t stride = static_cast<std::size_t>(state.range(1));
   const std::size_t count = state.range(0) / stride;
   for (auto _ : state) {
@@ -82,8 +89,35 @@ void BM_HierarchyStreamPass(benchmark::State& state) {
 BENCHMARK(BM_HierarchyStreamPass)
     ->Args({16 * 1024, 8})
     ->Args({128 * 1024, 8})
+    ->Args({4 * 1024 * 1024, 8})
+    ->Args({16 * 1024 * 1024, 8})
     ->Args({16 * 1024, 64})
-    ->Args({128 * 1024, 64});
+    ->Args({128 * 1024, 64})
+    ->Args({4 * 1024 * 1024, 64})
+    ->Args({16 * 1024 * 1024, 64});
+
+/// Args as above.  Both passes of a measurement (cold + steady) per
+/// iteration, in closed form; items are the accesses of one pass.
+void BM_SteadyStateCost(benchmark::State& state) {
+  const auto machine = sim::machines::core_i7_2600();
+  sim::mem::Hierarchy hierarchy(machine);
+  const sim::mem::Buffer buffer = sequential_buffer(state.range(0));
+  const std::size_t stride = static_cast<std::size_t>(state.range(1));
+  const std::size_t count = state.range(0) / stride;
+  sim::mem::Hierarchy::SteadyCost cost;
+  for (auto _ : state) {
+    hierarchy.steady_state_cost(buffer, stride, count, cost);
+    benchmark::DoNotOptimize(cost.steady.stall_cycles);
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_SteadyStateCost)
+    ->Args({16 * 1024, 8})
+    ->Args({4 * 1024 * 1024, 8})
+    ->Args({16 * 1024 * 1024, 8})
+    ->Args({16 * 1024, 64})
+    ->Args({4 * 1024 * 1024, 64})
+    ->Args({16 * 1024 * 1024, 64});
 
 void BM_MemSystemMeasure(benchmark::State& state) {
   sim::mem::MemSystemConfig config;

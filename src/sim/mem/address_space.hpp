@@ -27,6 +27,8 @@ class Buffer {
 
   std::size_t size() const noexcept { return size_; }
   std::size_t page_bytes() const noexcept { return page_bytes_; }
+  /// Byte offset of the buffer's start into the region `frames` backs.
+  std::size_t offset() const noexcept { return offset_; }
   const std::vector<std::uint32_t>& frames() const noexcept { return frames_; }
 
  private:

@@ -10,10 +10,14 @@ Hierarchy::Hierarchy(const MachineSpec& machine) {
     throw std::invalid_argument("Hierarchy: machine has no caches");
   }
   caches_.reserve(machine.caches.size());
+  std::size_t sets = 0;
   for (const auto& level : machine.caches) {
     caches_.emplace_back(level);
     stall_.push_back(level.miss_stall_cycles);
+    set_base_.push_back(sets);
+    sets += level.sets();
   }
+  set_counts_.resize(sets);
   // stall_[i] is charged when an access *hits* at level i; an L1 hit is
   // free here (its cost lives in the issue model), a hit at L2 costs the
   // L1 miss stall, and so on.  Shift accordingly: stall for hitting level
@@ -87,6 +91,54 @@ double Hierarchy::stall_for_level(std::size_t level) const noexcept {
   return level < stall_.size() ? stall_[level] : stall_.back();
 }
 
+namespace {
+
+/// Walks one strided pass the way stream_pass does and calls
+/// `visit(paddr, run)` once per hierarchy walk: `paddr` is the walked
+/// access, and the `run - 1` accesses after it stay in its L1 line (and
+/// its page), so they are L1 hits on the MRU line that change no cache
+/// state.  The current translation -- virtual [seg_lo, seg_lo + seg_len)
+/// lies in one page and maps to physical [seg_paddr, seg_paddr +
+/// seg_len) -- is re-walked only when the stream leaves it, so a pass
+/// translates once per page, and once in total when a wrapping stride
+/// keeps landing in the same page.
+template <class Visit>
+void for_each_walk(const Buffer& buffer, std::size_t stride_bytes,
+                   std::size_t count, const Cache& l1, Visit&& visit) {
+  const std::size_t size = buffer.size();
+  const std::size_t page = buffer.page_bytes();
+  const std::size_t line_bytes = l1.spec().line_bytes;
+  std::size_t seg_lo = 0;
+  std::size_t seg_len = 0;
+  std::uint64_t seg_paddr = 0;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < count;) {
+    if (offset - seg_lo >= seg_len) {
+      seg_paddr = buffer.translate(offset);
+      seg_lo = offset;
+      seg_len = std::min(page - static_cast<std::size_t>(seg_paddr % page),
+                         size - offset);
+    }
+    const std::uint64_t paddr = seg_paddr + (offset - seg_lo);
+    std::size_t run = 1;
+    if (stride_bytes < line_bytes) {
+      const std::uint64_t left = std::min<std::uint64_t>(
+          (l1.line_of(paddr) + 1) * line_bytes - 1 - paddr,  // in the line
+          seg_lo + seg_len - 1 - offset);  // in the translation
+      const std::size_t more = stride_bytes == 0
+                                   ? count
+                                   : static_cast<std::size_t>(left / stride_bytes);
+      run += std::min(more, count - i - 1);
+    }
+    visit(paddr, run);
+    i += run;
+    offset += run * stride_bytes;
+    if (offset >= size) offset %= size;  // cyclic, like the nloops loop
+  }
+}
+
+}  // namespace
+
 PassCost Hierarchy::stream_pass(const Buffer& buffer, std::size_t stride_bytes,
                                 std::size_t count) noexcept {
   PassCost cost;
@@ -100,53 +152,18 @@ void Hierarchy::stream_pass(const Buffer& buffer, std::size_t stride_bytes,
   // per-pass path performs no allocation.
   out.hits_by_level.assign(caches_.size() + 1, 0);
   double stall = 0.0;
-  const std::size_t size = buffer.size();
-  const std::size_t page = buffer.page_bytes();
   Cache& l1 = caches_.front();
-  const std::size_t line_bytes = l1.spec().line_bytes;
-  // The current translation: virtual [seg_lo, seg_lo + seg_len) lies in
-  // one page and maps to physical [seg_paddr, seg_paddr + seg_len).  It
-  // is re-walked only when the stream leaves it, so a pass translates
-  // once per page -- and once in total when a wrapping stride keeps
-  // landing in the same page.
-  std::size_t seg_lo = 0;
-  std::size_t seg_len = 0;
-  std::uint64_t seg_paddr = 0;
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < count;) {
-    if (offset - seg_lo >= seg_len) {
-      seg_paddr = buffer.translate(offset);
-      seg_lo = offset;
-      seg_len = std::min(page - static_cast<std::size_t>(seg_paddr % page),
-                         size - offset);
-    }
-    const std::uint64_t paddr = seg_paddr + (offset - seg_lo);
-    const std::size_t level = access(paddr);
-    ++out.hits_by_level[level];
-    stall += stall_[level];
-
-    // Run collapse: the next accesses that stay in this L1 line (and in
-    // this translation) are L1 hits on the MRU line, which change no
-    // cache state.  Count them in one step; they add no stall because
-    // stall_[0] is exactly 0.0.
-    std::size_t run = 1;
-    if (stride_bytes < line_bytes) {
-      const std::uint64_t left = std::min<std::uint64_t>(
-          (l1.line_of(paddr) + 1) * line_bytes - 1 - paddr,  // in the line
-          seg_lo + seg_len - 1 - offset);  // in the translation
-      const std::size_t more = stride_bytes == 0
-                                   ? count
-                                   : static_cast<std::size_t>(left / stride_bytes);
-      run += std::min(more, count - i - 1);
-      if (run > 1) {
-        out.hits_by_level[0] += run - 1;
-        l1.credit_mru_hits(run - 1);
-      }
-    }
-    i += run;
-    offset += run * stride_bytes;
-    if (offset >= size) offset %= size;  // cyclic, like the nloops loop
-  }
+  for_each_walk(buffer, stride_bytes, count, l1,
+                [&](std::uint64_t paddr, std::size_t run) {
+                  const std::size_t level = access(paddr);
+                  ++out.hits_by_level[level];
+                  stall += stall_[level];
+                  // The collapsed run adds no stall: stall_[0] is 0.0.
+                  if (run > 1) {
+                    out.hits_by_level[0] += run - 1;
+                    l1.credit_mru_hits(run - 1);
+                  }
+                });
   out.accesses = count;
   out.stall_cycles = static_cast<std::uint64_t>(stall);
   if (pmu_ != nullptr) {
@@ -160,7 +177,7 @@ void Hierarchy::stream_pass(const Buffer& buffer, std::size_t stride_bytes,
 
 Hierarchy::SteadyCost Hierarchy::steady_state_cost(const Buffer& buffer,
                                                    std::size_t stride_bytes,
-                                                   std::size_t count) noexcept {
+                                                   std::size_t count) {
   SteadyCost out;
   steady_state_cost(buffer, stride_bytes, count, out);
   return out;
@@ -168,9 +185,109 @@ Hierarchy::SteadyCost Hierarchy::steady_state_cost(const Buffer& buffer,
 
 void Hierarchy::steady_state_cost(const Buffer& buffer,
                                   std::size_t stride_bytes, std::size_t count,
-                                  SteadyCost& out) noexcept {
+                                  SteadyCost& out) {
+  if (closed_form_applies(buffer, stride_bytes, count)) {
+    closed_form_cost(buffer, stride_bytes, count, out);
+    return;
+  }
+  pmu::PmuFile* const pmu = pmu_;
+  attach_pmu(nullptr);
+  flush();
   stream_pass(buffer, stride_bytes, count, out.cold);
   stream_pass(buffer, stride_bytes, count, out.steady);
+  attach_pmu(pmu);
+}
+
+bool Hierarchy::closed_form_applies(const Buffer& buffer,
+                                    std::size_t stride_bytes,
+                                    std::size_t count) {
+  const std::size_t line = caches_.front().spec().line_bytes;
+  for (const Cache& cache : caches_) {
+    if (cache.spec().line_bytes != line) return false;
+  }
+  if (buffer.page_bytes() % line != 0) return false;
+  // No wrap: the last access, (count - 1) * stride, stays below size.
+  if (count > 0 && stride_bytes > 0 &&
+      count - 1 > (buffer.size() - 1) / stride_bytes) {
+    return false;
+  }
+  // Distinct frames over the pages the buffer spans, so distinct virtual
+  // lines are distinct physical lines: one pass over a bitmap of the
+  // frame numbers.  They are dense when they come from an allocator's
+  // pool; frames too sparse for an O(pages) bitmap go unchecked, and so
+  // take the simulated path.
+  const std::size_t page = buffer.page_bytes();
+  const std::uint32_t* lo = buffer.frames().data() + buffer.offset() / page;
+  const std::uint32_t* hi = buffer.frames().data() +
+                            (buffer.offset() + buffer.size() - 1) / page + 1;
+  const std::size_t words = *std::max_element(lo, hi) / 64 + 1;
+  if (words > 4 * static_cast<std::size_t>(hi - lo) + 64) return false;
+  frame_scratch_.assign(words, 0);
+  for (const std::uint32_t* f = lo; f != hi; ++f) {
+    std::uint64_t& word = frame_scratch_[*f / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (*f % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+  }
+  return true;
+}
+
+void Hierarchy::closed_form_cost(const Buffer& buffer,
+                                 std::size_t stride_bytes, std::size_t count,
+                                 SteadyCost& out) {
+  const std::size_t levels = caches_.size();
+  std::fill(set_counts_.begin(), set_counts_.end(), SetCounts{});
+  const Cache& l1 = caches_.front();
+
+  // Cold pass: each walk is the first touch of its line, so it misses
+  // every level; the collapsed rest of its run are L1 hits.  The sweep
+  // also counts every set's lines.  Stall is summed in walk order, as
+  // stream_pass sums it, so the double is bit-identical.
+  out.cold.hits_by_level.assign(levels + 1, 0);
+  double stall = 0.0;
+  std::uint64_t lines = 0;
+  for_each_walk(buffer, stride_bytes, count, l1,
+                [&](std::uint64_t paddr, std::size_t) {
+                  for (std::size_t k = 0; k < levels; ++k) {
+                    ++set_counts_[set_base_[k] + caches_[k].set_of(paddr)].rem;
+                  }
+                  ++lines;
+                  stall += stall_[levels];
+                });
+  out.cold.accesses = count;
+  out.cold.hits_by_level[0] = count - lines;
+  out.cold.hits_by_level[levels] = lines;
+  out.cold.stall_cycles = static_cast<std::uint64_t>(stall);
+
+  // Steady pass: once line y's walk has decremented it, `rem` counts the
+  // lines after y in its level-k set (all touched at level k since y, in
+  // the cold pass) and `reached` the lines before y there that reached
+  // level k this pass.  Those are the distinct lines level k saw in y's
+  // set since y, so y hits there iff their sum is below the ways.  y
+  // reaches every level down to its hit level; every level's `rem`
+  // drops, reached or not.
+  out.steady.hits_by_level.assign(levels + 1, 0);
+  stall = 0.0;
+  for_each_walk(buffer, stride_bytes, count, l1,
+                [&](std::uint64_t paddr, std::size_t run) {
+                  std::size_t level = levels;
+                  for (std::size_t k = 0; k < levels; ++k) {
+                    SetCounts& set =
+                        set_counts_[set_base_[k] + caches_[k].set_of(paddr)];
+                    --set.rem;
+                    if (level == levels) {
+                      if (set.rem + set.reached < caches_[k].spec().ways) {
+                        level = k;
+                      }
+                      ++set.reached;
+                    }
+                  }
+                  ++out.steady.hits_by_level[level];
+                  out.steady.hits_by_level[0] += run - 1;
+                  stall += stall_[level];
+                });
+  out.steady.accesses = count;
+  out.steady.stall_cycles = static_cast<std::uint64_t>(stall);
 }
 
 void Hierarchy::flush() noexcept {

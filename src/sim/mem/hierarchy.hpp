@@ -3,13 +3,16 @@
 //
 // Drives the per-level Cache models with an access stream and charges the
 // per-level miss stalls from the machine spec.  stream_pass() simulates
-// one MultiMAPS-style strided pass over a buffer; steady_state_pass()
-// exploits that, for deterministic LRU caches and a cyclic access
-// pattern, the cost of every pass after the first is identical -- so a
-// measurement with nloops repetitions costs
+// one MultiMAPS-style strided pass over a buffer access by access.  A
+// measurement with nloops repetitions is charged
 //     pass1 + (nloops - 1) * pass2
-// without simulating nloops * size accesses.  (The equality is asserted
-// by tests/sim_hierarchy_test.)
+// which is exact when every pass after the first costs the same.  That
+// holds on the paper's machines (tests/sim_hierarchy_test asserts pass 2
+// == pass 3 on a small one), but not on every geometry: with an L2 no
+// larger than L1 whose sets cross L1's, pass 3 can differ from pass 2.
+// steady_state_cost() returns pass1 and pass2 for a run that starts from
+// empty caches -- in closed form, without touching the tag arrays, when
+// the stream visits every physical line in one contiguous run per pass.
 
 #include <cstdint>
 #include <vector>
@@ -58,10 +61,27 @@ class Hierarchy {
     PassCost cold;
     PassCost steady;
   };
+
+  /// The first two passes of a run that starts from empty caches: a pure
+  /// function of the machine and the inputs.  It counts nothing into the
+  /// attached PMU (fold the result in with account_pass), and the cache
+  /// contents and per-level hits()/misses() afterwards are unspecified.
+  ///
+  /// When every level has the same line size, the line size divides the
+  /// page, the buffer's pages have distinct frames and the pass does not
+  /// wrap ((count - 1) * stride < size), every physical line is touched
+  /// in one contiguous run per pass, in the same order both passes.  The
+  /// cold pass then misses every level once per line, and in the steady
+  /// pass a line hits level k iff fewer than ways_k other lines of its
+  /// level-k set were seen there since its cold touch: the lines after it
+  /// in the cold pass plus the lines before it that reached level k in the
+  /// steady pass -- its LRU stack distance (Mattson et al., 1970).  Two
+  /// counting sweeps over the lines give both passes exactly.  Other
+  /// inputs flush and simulate the two passes.
   SteadyCost steady_state_cost(const Buffer& buffer, std::size_t stride_bytes,
-                               std::size_t count) noexcept;
+                               std::size_t count);
   void steady_state_cost(const Buffer& buffer, std::size_t stride_bytes,
-                         std::size_t count, SteadyCost& out) noexcept;
+                         std::size_t count, SteadyCost& out);
 
   void flush() noexcept;
 
@@ -88,9 +108,26 @@ class Hierarchy {
   std::pair<pmu::Event, pmu::Event> pmu_events_for_level(
       std::size_t i) const noexcept;
 
+  /// Whether steady_state_cost's closed form holds for this stream.
+  bool closed_form_applies(const Buffer& buffer, std::size_t stride_bytes,
+                           std::size_t count);
+  void closed_form_cost(const Buffer& buffer, std::size_t stride_bytes,
+                        std::size_t count, SteadyCost& out);
+
   std::vector<Cache> caches_;
   std::vector<double> stall_;  ///< stall per level; last entry = memory
   pmu::PmuFile* pmu_ = nullptr;
+  /// Per-level set counters of the closed form, level k's sets starting
+  /// at set_base_[k]: `rem` = lines of the set not yet visited in the
+  /// current sweep, `reached` = lines of the set that reached level k in
+  /// the steady pass so far.  Reused across calls.
+  struct SetCounts {
+    std::uint32_t rem = 0;
+    std::uint32_t reached = 0;
+  };
+  std::vector<SetCounts> set_counts_;
+  std::vector<std::size_t> set_base_;
+  std::vector<std::uint64_t> frame_scratch_;  ///< frame-distinctness check
 };
 
 }  // namespace cal::sim::mem

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace cal::sim::mem {
 namespace {
 
@@ -71,6 +73,7 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
   // --- Buffer allocation (the P7 mechanism) ----------------------------
   std::vector<std::uint32_t> owned_frames;
   const Buffer buffer = [&]() -> Buffer {
+    CAL_SPAN("sim.alloc");
     switch (config_.alloc) {
       case AllocTechnique::kMallocPerBuffer: {
         const std::size_t pages =
@@ -95,23 +98,17 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
     throw std::logic_error("MemSystem: unknown allocation technique");
   }();
 
-  // --- Cache simulation: cold pass + steady pass -----------------------
+  // --- Cache cost: cold pass + steady pass ----------------------------
   const std::size_t count = request.size_bytes / stride_bytes;
   pmu::PmuSnapshot pmu_begin;
   if (pmu_) pmu_begin = pmu_->snapshot();
-  hierarchy_.flush();
-  if (pmu_) {
-    // Counter-exact nloops accounting: the cold pass counts per access
-    // through the cache seams; the steady probe pass is simulated with
-    // the PMU detached (the machine runs it nloops-1 times, not once),
-    // then its PassCost is folded in nloops-1 times analytically.
-    hierarchy_.stream_pass(buffer, stride_bytes, count, cost_scratch_.cold);
-    hierarchy_.attach_pmu(nullptr);
-    hierarchy_.stream_pass(buffer, stride_bytes, count, cost_scratch_.steady);
-    hierarchy_.attach_pmu(pmu_.get());
-    hierarchy_.account_pass(cost_scratch_.steady, request.nloops - 1);
-  } else {
+  {
+    CAL_SPAN("sim.cache_cost");
     hierarchy_.steady_state_cost(buffer, stride_bytes, count, cost_scratch_);
+    // Counter-exact nloops accounting: the machine runs the cold pass once
+    // and the steady pass nloops - 1 times.  No-ops with the PMU off.
+    hierarchy_.account_pass(cost_scratch_.cold, 1);
+    hierarchy_.account_pass(cost_scratch_.steady, request.nloops - 1);
   }
   const auto& cost = cost_scratch_;
 
@@ -126,7 +123,6 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
       cold_cycles + static_cast<double>(request.nloops - 1) * steady_cycles;
 
   // --- OS scheduler contention -----------------------------------------
-  core_.sync_to(now_s);
   const double slowdown = scheduler_.slowdown_at(now_s);
   total_cycles *= slowdown;
   if (pmu_) {
@@ -141,7 +137,12 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
   }
 
   // --- Clock integration under the DVFS governor -----------------------
-  const double busy_s = core_.run(total_cycles);
+  double busy_s = 0.0;
+  {
+    CAL_SPAN("sim.clock");
+    core_.sync_to(now_s);
+    busy_s = core_.run(total_cycles);
+  }
   double elapsed = busy_s;
 
   // --- Measurement noise ------------------------------------------------

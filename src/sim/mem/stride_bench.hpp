@@ -103,8 +103,8 @@ class MemSystem {
   cpu::SimCore core_;
   os::Scheduler scheduler_;
   std::vector<std::uint32_t> big_block_frames_;
-  /// Reused across measure() calls so the per-measurement cache
-  /// simulation allocates nothing after the first call.
+  /// Reused across measure() calls so the per-measurement cache cost
+  /// allocates nothing after the first call.
   Hierarchy::SteadyCost cost_scratch_;
 };
 

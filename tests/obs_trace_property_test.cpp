@@ -1,7 +1,8 @@
-// Property suite for the observability layer: an 8-worker campaign plus
-// served queries run with tracing armed must emit Chrome trace-event
-// JSON that actually parses, carries balanced (complete, non-negative
-// duration) spans from every instrumented subsystem, and keeps each
+// Property suite for the observability layer: an 8-worker campaign,
+// served queries and a simulated measurement run with tracing armed
+// must emit Chrome trace-event JSON that actually parses, carries
+// balanced (complete, non-negative duration) spans from every
+// instrumented subsystem (the simulator's by name), and keeps each
 // thread's event stream monotonic; and arming telemetry must not change
 // a single byte of the campaign's archived results.
 
@@ -20,9 +21,12 @@
 #include "core/campaign.hpp"
 #include "core/design.hpp"
 #include "core/engine.hpp"
+#include "core/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
+#include "sim/machine.hpp"
+#include "sim/mem/stride_bench.hpp"
 
 namespace cal {
 namespace {
@@ -303,6 +307,13 @@ TEST_F(ObsTraceProperty,
   ASSERT_EQ(server.execute(materialize).status, serve::Status::kOk);
   server.stop();
 
+  // One simulated measurement (sim.* spans).
+  sim::mem::MemSystemConfig sim_config;
+  sim_config.machine = sim::machines::core_i7_2600();
+  sim::mem::MemSystem system(sim_config);
+  Rng rng(3);
+  system.measure({64 * 1024, 1, {8, 1}, 10}, 0.0, rng);
+
   std::ostringstream out;
   obs::trace::flush_json(out);
   const std::string text = out.str();
@@ -318,6 +329,7 @@ TEST_F(ObsTraceProperty,
   //    span (ph "X" with ts and dur >= 0); per-thread end times arrive
   //    monotonically (events record at span close on their own thread).
   std::map<int, double> last_end;
+  std::set<std::string> names;
   std::set<std::string> subsystems;
   std::size_t spans = 0;
   for (const Json& e : events.items) {
@@ -345,6 +357,7 @@ TEST_F(ObsTraceProperty,
     const std::string& name = e.at("name").text;
     const auto dot = name.find('.');
     ASSERT_NE(dot, std::string::npos) << "unqualified span name " << name;
+    names.insert(name);
     subsystems.insert(name.substr(0, dot));
   }
   EXPECT_GT(spans, 0u);
@@ -359,6 +372,9 @@ TEST_F(ObsTraceProperty,
   EXPECT_TRUE(subsystems.count("bbx"));
   EXPECT_TRUE(subsystems.count("query"));
   EXPECT_TRUE(subsystems.count("serve"));
+  for (const char* name : {"sim.alloc", "sim.cache_cost", "sim.clock"}) {
+    EXPECT_TRUE(names.count(name)) << name;
+  }
 }
 
 TEST_F(ObsTraceProperty, CampaignArchiveBytesIdenticalTracingOnVsOff) {

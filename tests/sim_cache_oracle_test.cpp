@@ -8,8 +8,10 @@
 // hits_by_level and stall_cycles, per-level hits()/misses(), every PMU
 // event -- over machines x geometries x sizes x strides x page policies
 // x buffer offsets, with interleaved single accesses (the pointer-chase
-// path) and with and without flushes between passes.  Fixed seed, fixed
-// iteration budget: a failure reproduces exactly.
+// path) and with and without flushes between passes.  The closed-form
+// Hierarchy::steady_state_cost is held to the same reference: flush plus
+// two reference passes, from empty caches.  Fixed seed, fixed iteration
+// budget: a failure reproduces exactly.
 
 #include <gtest/gtest.h>
 
@@ -177,7 +179,8 @@ class RefHierarchy {
 
 /// The four paper machines plus two geometries the shift/mask path
 /// cannot take: a non-power-of-two set count, and a non-power-of-two
-/// line size (whose lines straddle 4 KB pages).
+/// line size (whose lines straddle 4 KB pages); and one whose levels'
+/// set indices cross.
 std::vector<MachineSpec> oracle_machines() {
   std::vector<MachineSpec> out = machines::all();
   MachineSpec odd_sets = machines::core_i7_2600();
@@ -191,6 +194,16 @@ std::vector<MachineSpec> oracle_machines() {
   odd_lines.caches = {{"L1", 48 * 64, 48, 2, 6.0},        // 32 sets
                       {"L2", 48 * 1024, 48, 4, 20.0}};   // 256 sets
   out.push_back(odd_lines);
+  // Set indices that do not nest, and levels no larger than the one
+  // above: each L2 set gathers four L1 sets and the L3 set count is a
+  // multiple of neither, so a set can overflow while some of its lines
+  // hit above and never reach it.
+  MachineSpec crossed_sets = machines::core_i7_2600();
+  crossed_sets.name = "crossed_sets";
+  crossed_sets.caches = {{"L1", 8 * 1024, 64, 2, 4.0},     // 64 sets
+                         {"L2", 8 * 1024, 64, 8, 12.0},    // 16 sets
+                         {"L3", 20 * 1024, 64, 8, 30.0}};  // 40 sets
+  out.push_back(crossed_sets);
   return out;
 }
 
@@ -211,6 +224,29 @@ std::size_t draw_stride(Rng& rng, std::size_t line, std::size_t size) {
       return size + static_cast<std::size_t>(rng.uniform_int(
                         1, 3 * static_cast<std::int64_t>(size)));
   }
+}
+
+/// A buffer of log-uniform size up to `max_size` on frames granted by a
+/// fresh `policy` allocator.  Half the time it starts, big-block style,
+/// at an arbitrary (possibly odd) byte offset into its first page.
+Buffer draw_buffer(Rng& rng, const MachineSpec& machine,
+                   std::size_t max_size, PagePolicy policy) {
+  const std::size_t size = static_cast<std::size_t>(
+      rng.log_uniform_int(2, static_cast<std::int64_t>(max_size)));
+  const std::size_t offset =
+      rng.bernoulli(0.5)
+          ? 0
+          : static_cast<std::size_t>(rng.uniform_int(
+                0, static_cast<std::int64_t>(machine.page_bytes) - 1));
+  const std::size_t pages =
+      (offset + size + machine.page_bytes - 1) / machine.page_bytes;
+  Rng pool_rng(rng.next_u64());
+  PageAllocator allocator(
+      pages + 64, policy, pool_rng,
+      std::max<std::size_t>(
+          machine.l1().size_bytes / machine.l1().ways / machine.page_bytes,
+          1));
+  return Buffer(allocator.allocate(pages), machine.page_bytes, size, offset);
 }
 
 std::string describe(const MachineSpec& machine, PagePolicy policy,
@@ -271,25 +307,9 @@ TEST(SimCacheOracle, FastPathMatchesReferenceBitForBit) {
       fast.attach_pmu(pmu_on ? &fast_pmu : nullptr);
       ref.attach_pmu(pmu_on ? &ref_pmu : nullptr);
 
-      const std::size_t size = static_cast<std::size_t>(rng.log_uniform_int(
-          2, static_cast<std::int64_t>(max_size)));
-      // Big-block style: the buffer starts at an arbitrary (possibly
-      // odd) byte offset into its first page.
-      const std::size_t offset =
-          rng.bernoulli(0.5)
-              ? 0
-              : static_cast<std::size_t>(rng.uniform_int(
-                    0, static_cast<std::int64_t>(machine.page_bytes) - 1));
-      const std::size_t pages =
-          (offset + size + machine.page_bytes - 1) / machine.page_bytes;
-      Rng pool_rng(rng.next_u64());
-      PageAllocator allocator(pages + 64, policy, pool_rng,
-                              std::max<std::size_t>(
-                                  machine.l1().size_bytes /
-                                      machine.l1().ways / machine.page_bytes,
-                                  1));
-      const Buffer buffer(allocator.allocate(pages), machine.page_bytes, size,
-                          offset);
+      const Buffer buffer = draw_buffer(rng, machine, max_size, policy);
+      const std::size_t size = buffer.size();
+      const std::size_t offset = buffer.offset();
       const std::size_t stride = draw_stride(rng, line, size);
       // One pass reads size/stride elements; sometimes run past the
       // end so the stream wraps mid-pass.
@@ -329,6 +349,119 @@ TEST(SimCacheOracle, FastPathMatchesReferenceBitForBit) {
       if (HasFailure()) return;
     }
   }
+}
+
+// --- The closed-form two-pass cost -------------------------------------------
+
+/// Hierarchy::steady_state_cost against the reference from empty caches:
+/// the cold and steady PassCost must equal flush + two reference passes,
+/// steady_state_cost must count nothing into the attached PMU, and
+/// account_pass(cold, 1) + account_pass(steady, 1) must count exactly
+/// what the reference counts over those two passes.  `fast` is reused across
+/// calls, so a warm hierarchy must still give the empty-cache answer.
+void expect_steady_state_cost_matches(Hierarchy& fast,
+                                      const MachineSpec& machine,
+                                      const Buffer& buffer,
+                                      std::size_t stride, std::size_t count,
+                                      const std::string& where) {
+  pmu::PmuFile fast_pmu;
+  pmu::PmuFile ref_pmu;
+  fast.attach_pmu(&fast_pmu);
+  RefHierarchy ref(machine);
+  ref.attach_pmu(&ref_pmu);
+
+  const Hierarchy::SteadyCost cost =
+      fast.steady_state_cost(buffer, stride, count);
+  for (const pmu::Event e : pmu::all_events()) {
+    EXPECT_EQ(fast_pmu.value(e), 0u)
+        << where << " steady_state_cost counted pmu." << pmu::event_name(e);
+  }
+  expect_same_cost(cost.cold, ref.stream_pass(buffer, stride, count),
+                   where + " cold");
+  expect_same_cost(cost.steady, ref.stream_pass(buffer, stride, count),
+                   where + " steady");
+
+  fast.account_pass(cost.cold, 1);
+  fast.account_pass(cost.steady, 1);
+  for (const pmu::Event e : pmu::all_events()) {
+    EXPECT_EQ(fast_pmu.value(e), ref_pmu.value(e))
+        << where << " pmu." << pmu::event_name(e);
+  }
+  fast.attach_pmu(nullptr);
+}
+
+TEST(SimCacheOracle, SteadyStateCostMatchesReferenceFromEmptyCaches) {
+  Rng rng(0x5EADC057);
+  const PagePolicy policies[] = {PagePolicy::kRandomPool,
+                                 PagePolicy::kSequential,
+                                 PagePolicy::kColored};
+  constexpr int kCasesPerMachine = 120;
+  for (const MachineSpec& machine : oracle_machines()) {
+    const std::size_t line = machine.l1().line_bytes;
+    const std::size_t max_size = std::min<std::size_t>(
+        machine.caches.back().size_bytes * 5 / 2, std::size_t{4} << 20);
+    Hierarchy fast(machine);
+    for (int it = 0; it < kCasesPerMachine; ++it) {
+      const PagePolicy policy = policies[it % 3];
+      const Buffer buffer = draw_buffer(rng, machine, max_size, policy);
+      const std::size_t size = buffer.size();
+      // A MultiMAPS pass reads size/stride elements; widen the stride of
+      // a huge buffer to keep the reference's per-access walk affordable.
+      std::size_t stride = draw_stride(rng, line, size);
+      while (size / stride > kMaxCount) stride *= 2;
+      const std::size_t count = std::max<std::size_t>(size / stride, 1);
+      expect_steady_state_cost_matches(
+          fast, machine, buffer, stride, count,
+          describe(machine, policy, size, buffer.offset(), stride, count,
+                   true, it));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(SimCacheOracle, SteadyStateCostFallbacksMatchReference) {
+  // One input per precondition the closed form checks; each must take
+  // the simulated path and still equal the reference.
+  Rng rng(17);
+  const auto random_buffer = [&rng](const MachineSpec& machine,
+                                    std::size_t size) {
+    PageAllocator allocator(size / machine.page_bytes + 64,
+                            PagePolicy::kRandomPool, rng);
+    return Buffer(allocator.allocate(size / machine.page_bytes + 1),
+                  machine.page_bytes, size, 40);
+  };
+
+  // 48 B lines straddle 4 KB pages.
+  MachineSpec odd_lines;
+  for (const MachineSpec& machine : oracle_machines()) {
+    if (machine.name == "odd_lines") odd_lines = machine;
+  }
+  Hierarchy odd(odd_lines);
+  expect_steady_state_cost_matches(odd, odd_lines,
+                                   random_buffer(odd_lines, 96 * 1024), 48,
+                                   2048, "odd_lines");
+
+  // Levels with different line sizes: two L1 lines share one L2 line.
+  MachineSpec mixed = machines::core_i7_2600();
+  mixed.caches[1].line_bytes = 128;
+  mixed.caches[1].ways = 4;
+  Hierarchy mixed_h(mixed);
+  expect_steady_state_cost_matches(mixed_h, mixed,
+                                   random_buffer(mixed, 512 * 1024), 64,
+                                   8192, "mixed line sizes");
+
+  // Pages 0 and 2 map the same frame: their lines alias.
+  const MachineSpec i7 = machines::core_i7_2600();
+  Hierarchy i7_h(i7);
+  const Buffer aliased({5, 9, 5, 2}, 4096, 4 * 4096);
+  expect_steady_state_cost_matches(i7_h, i7, aliased, 64, 256,
+                                   "repeated frame");
+  expect_steady_state_cost_matches(i7_h, i7, aliased, 8, 2048,
+                                   "repeated frame, sub-line stride");
+
+  // The pass wraps: every line is touched in more than one run.
+  expect_steady_state_cost_matches(i7_h, i7, random_buffer(i7, 64 * 1024),
+                                   64, 2 * 1024 + 3, "wrapping count");
 }
 
 TEST(SimCacheOracle, SameLineRunsAreCountedAsL1Hits) {
