@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
 
   // SIMD dispatch: a full-bundle scan with a metric predicate (zone
   // maps cannot prune a lognormal metric, so every block decompresses,
-  // evaluates the predicate in the encoded domain, and folds survivors)
+  // decodes and evaluates the predicate's column, and folds survivors)
   // with the kernel table pinned to the scalar tier vs the best level.
   // 1 worker, best of 5 repetitions, so the comparison is kernel-bound
   // rather than pool-scheduling noise.

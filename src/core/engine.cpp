@@ -140,36 +140,22 @@ class WelfordCells {
   std::vector<Acc> cells_;
 };
 
-/// The pool a parallel call executes its windows on.  Three modes:
-/// a shared long-lived pool (Options::pool), a pool owned for the
-/// duration of the call (Options::reuse_pool, the default), or -- the
-/// legacy behavior kept for latency A/B benches -- a fresh pool per
-/// window.
+/// The pool a parallel call executes its windows on: the shared
+/// Options::pool when set, else one owned for the duration of the call.
 class PoolLease {
  public:
-  PoolLease(const Engine::Options& options, std::size_t threads)
-      : threads_(threads) {
+  PoolLease(const Engine::Options& options, std::size_t threads) {
     if (options.pool) {
       pool_ = options.pool.get();
-    } else if (options.reuse_pool) {
+    } else {
       owned_ = std::make_unique<core::WorkerPool>(threads, "cal-engine");
       pool_ = owned_.get();
     }
   }
 
-  /// The pool for the next window; in spawn-per-window mode the
-  /// previous window's pool is joined and torn down *before* the new
-  /// one spawns, so thread counts never momentarily double and each
-  /// window's timing charges its own spawn + join.
-  core::WorkerPool& next_window_pool() {
-    if (pool_ != nullptr) return *pool_;
-    owned_.reset();
-    owned_ = std::make_unique<core::WorkerPool>(threads_, "cal-window");
-    return *owned_;
-  }
+  core::WorkerPool& pool() noexcept { return *pool_; }
 
  private:
-  std::size_t threads_;
   core::WorkerPool* pool_ = nullptr;
   std::unique_ptr<core::WorkerPool> owned_;
 };
@@ -392,7 +378,7 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
     const auto window_t0 = SteadyClock::now();
     {
       CAL_TIME_SCOPE("engine.window_seconds");
-      execute_window(lease.next_window_pool(), order, begin, end, seeds,
+      execute_window(lease.pool(), order, begin, end, seeds,
                      /*sequence_is_position=*/false, measures, results,
                      stats != nullptr ? &worker_busy_s : nullptr);
     }
@@ -495,7 +481,7 @@ OpaqueSummary Engine::run_opaque(const Plan& plan,
     for (std::size_t begin = 0; begin < order.size(); begin += window) {
       const std::size_t end = std::min(begin + window, order.size());
       draw_seeds(engine_rng, end - begin, seeds);
-      execute_window(lease.next_window_pool(), order, begin, end, seeds,
+      execute_window(lease.pool(), order, begin, end, seeds,
                      /*sequence_is_position=*/true, measures, results);
       for (std::size_t k = 0; k < end - begin; ++k) {
         cells.add(order[begin + k], results[k].metrics);

@@ -168,12 +168,6 @@ class Engine {
     /// are bit-identical at any window size, since windows merge into
     /// the accumulators in plan order).  0 = use sink_batch.
     std::size_t opaque_window = 0;
-    /// Reuse one worker pool across all execution windows of a run() or
-    /// run_opaque() call (default).  false restores the legacy
-    /// spawn-threads-per-window behavior -- kept only so
-    /// bench_engine_throughput can quantify the per-window latency the
-    /// persistent pool removes.  Ignored when `pool` is set.
-    bool reuse_pool = true;
     /// Optional long-lived pool shared across calls (and across Engine
     /// instances, e.g. one pool for every campaign of a cluster report).
     /// When set it supersedes `threads`: the engine shards over

@@ -105,7 +105,12 @@ std::size_t Value::hash() const noexcept {
 bool operator<(const Value& a, const Value& b) {
   const bool a_num = a.kind() != ValueKind::kString;
   const bool b_num = b.kind() != ValueKind::kString;
-  if (a_num && b_num) return a.as_real() < b.as_real();
+  if (a_num && b_num) {
+    // Int pairs compare exactly, like operator==: ints past 2^53 that
+    // share a double must not collapse into one group-by key.
+    if (a.is_int() && b.is_int()) return a.as_int() < b.as_int();
+    return a.as_real() < b.as_real();
+  }
   if (a_num != b_num) return a_num;  // numbers sort before strings
   return a.as_string() < b.as_string();
 }

@@ -1,5 +1,6 @@
 #include "io/archive/bbx_reader.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -201,52 +202,50 @@ RawTable BbxReader::read_all(core::WorkerPool* pool) const {
   return table;
 }
 
-std::vector<Value> BbxReader::factor_column(const std::string& name,
-                                            core::WorkerPool* pool) const {
-  std::size_t factor_index = manifest_.factor_names.size();
-  for (std::size_t i = 0; i < manifest_.factor_names.size(); ++i) {
-    if (manifest_.factor_names[i] == name) factor_index = i;
-  }
-  if (factor_index == manifest_.factor_names.size()) {
-    throw std::out_of_range("bbx: unknown factor '" + name + "'");
-  }
+std::vector<Column> BbxReader::column_blocks(std::size_t id,
+                                             core::WorkerPool* pool) const {
   const std::vector<std::string> shards = load_shards();
-  std::vector<std::vector<Value>> slots(manifest_.blocks.size());
+  std::vector<Column> slots(manifest_.blocks.size());
   for_each_block(pool, [&](std::size_t index) {
     const std::string raw = fetch_block(shards, index);
-    slots[index] = decode_factor_column(raw, manifest_.factor_names.size(),
-                                        manifest_.metric_names.size(),
-                                        factor_index);
+    slots[index] = BlockView(raw, manifest_.factor_names.size(),
+                             manifest_.metric_names.size())
+                       .column(id);
   });
+  return slots;
+}
+
+std::vector<Value> BbxReader::factor_column(const std::string& name,
+                                            core::WorkerPool* pool) const {
+  const auto& names = manifest_.factor_names;
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) {
+    throw std::out_of_range("bbx: unknown factor '" + name + "'");
+  }
+  const std::size_t id = kFirstFactorColumn + (it - names.begin());
   std::vector<Value> out;
   out.reserve(manifest_.total_records);
-  for (std::vector<Value>& block : slots) {
-    for (Value& v : block) out.push_back(std::move(v));
+  for (const Column& block : column_blocks(id, pool)) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      out.push_back(block.value_at(i));
+    }
   }
   return out;
 }
 
 std::vector<double> BbxReader::metric_column(const std::string& name,
                                              core::WorkerPool* pool) const {
-  std::size_t metric_index = manifest_.metric_names.size();
-  for (std::size_t i = 0; i < manifest_.metric_names.size(); ++i) {
-    if (manifest_.metric_names[i] == name) metric_index = i;
-  }
-  if (metric_index == manifest_.metric_names.size()) {
+  const auto& names = manifest_.metric_names;
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) {
     throw std::out_of_range("bbx: unknown metric '" + name + "'");
   }
-  const std::vector<std::string> shards = load_shards();
-  std::vector<std::vector<double>> slots(manifest_.blocks.size());
-  for_each_block(pool, [&](std::size_t index) {
-    const std::string raw = fetch_block(shards, index);
-    slots[index] = decode_metric_column(raw, manifest_.factor_names.size(),
-                                        manifest_.metric_names.size(),
-                                        metric_index);
-  });
+  const std::size_t id =
+      kFirstFactorColumn + manifest_.factor_names.size() + (it - names.begin());
   std::vector<double> out;
   out.reserve(manifest_.total_records);
-  for (const std::vector<double>& block : slots) {
-    out.insert(out.end(), block.begin(), block.end());
+  for (const Column& block : column_blocks(id, pool)) {
+    out.insert(out.end(), block.f64.begin(), block.f64.end());
   }
   return out;
 }

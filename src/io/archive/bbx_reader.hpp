@@ -21,6 +21,7 @@
 
 #include "core/record.hpp"
 #include "core/worker_pool.hpp"
+#include "io/archive/column_codec.hpp"
 #include "io/archive/manifest.hpp"
 
 namespace cal::io::archive {
@@ -75,6 +76,10 @@ class BbxReader {
   /// decompressed image.
   std::string fetch_block(const std::vector<std::string>& shards,
                           std::size_t index) const;
+
+  /// Column `id` of every block, decoded block-parallel over `pool`.
+  std::vector<Column> column_blocks(std::size_t id,
+                                    core::WorkerPool* pool) const;
 
   /// Shared frame verification: `frame` points at block `index`'s
   /// [stored][raw][crc][payload] bytes (caller guarantees the full

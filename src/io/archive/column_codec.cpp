@@ -1,6 +1,7 @@
 #include "io/archive/column_codec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -10,8 +11,7 @@ namespace cal::io::archive {
 
 namespace {
 
-// Factor-column encodings (one tag byte per column per block); the
-// public FactorTag mirrors these values.
+// Factor-column encodings (one tag byte per column per block).
 enum : unsigned char {
   kColInt = 0,     // zigzag-delta varints
   kColReal = 1,    // raw LE doubles
@@ -41,10 +41,8 @@ void decode_delta_payload(ByteReader& r, std::size_t n, std::uint64_t* out) {
   r.skip(used);
 }
 
-std::vector<std::size_t> decode_delta_column(ByteReader& r, std::size_t n) {
-  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-                "bbx delta columns assume 64-bit size_t");
-  std::vector<std::size_t> out(n);
+std::vector<std::int64_t> decode_i64_column(ByteReader& r, std::size_t n) {
+  std::vector<std::int64_t> out(n);
   decode_delta_payload(r, n, reinterpret_cast<std::uint64_t*>(out.data()));
   return out;
 }
@@ -52,8 +50,8 @@ std::vector<std::size_t> decode_delta_column(ByteReader& r, std::size_t n) {
 /// Bulk-decodes n raw LE doubles (bounds-checked borrow, then one
 /// dispatched pass instead of eight single-byte loads per value).
 std::vector<double> decode_f64_column(ByteReader& r, std::size_t n) {
-  std::vector<double> out(n);
   const char* src = r.bytes(n * sizeof(double));
+  std::vector<double> out(n);
   simd::kernels().f64le_decode(src, n, out.data());
   return out;
 }
@@ -67,15 +65,23 @@ void write_dictionary(std::string& out,
   }
 }
 
-std::vector<std::string> read_dictionary(ByteReader& r) {
+std::vector<Value> read_dictionary(ByteReader& r) {
   const std::uint64_t size = r.varint();
-  std::vector<std::string> dict;
-  dict.reserve(size);
+  std::vector<Value> dict;
+  dict.reserve(std::min<std::uint64_t>(size, r.remaining()));
   for (std::uint64_t i = 0; i < size; ++i) {
     const std::uint64_t len = r.varint();
-    dict.emplace_back(r.bytes(len), len);
+    dict.emplace_back(std::string(r.bytes(len), len));
   }
   return dict;
+}
+
+std::uint32_t read_code(ByteReader& r, std::size_t levels) {
+  const std::uint64_t idx = r.varint();
+  if (idx >= levels) {
+    throw std::runtime_error("bbx: dictionary index out of range");
+  }
+  return static_cast<std::uint32_t>(idx);
 }
 
 void encode_factor_column(std::string& out, const RawRecord* records,
@@ -144,103 +150,87 @@ void encode_factor_column(std::string& out, const RawRecord* records,
   }
 }
 
-std::vector<Value> decode_factor_payload(ByteReader& r, std::size_t n) {
-  std::vector<Value> out;
-  out.reserve(n);
+Column decode_factor_column(ByteReader& r, std::size_t n) {
+  Column col;
   const std::uint8_t tag = r.u8();
   switch (tag) {
-    case kColInt: {
-      std::vector<std::uint64_t> scratch(n);
-      decode_delta_payload(r, n, scratch.data());
+    case kColInt:
+      col.kind = Column::Kind::kI64;
+      col.i64 = decode_i64_column(r, n);
+      return col;
+    case kColReal:
+      col.kind = Column::Kind::kF64;
+      col.f64 = decode_f64_column(r, n);
+      return col;
+    case kColString:
+      col.kind = Column::Kind::kCoded;
+      col.levels = read_dictionary(r);
+      col.codes.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
-        out.emplace_back(static_cast<std::int64_t>(scratch[i]));
+        col.codes[i] = read_code(r, col.levels.size());
       }
-      break;
-    }
-    case kColReal: {
-      std::vector<double> scratch(n);
-      const char* src = r.bytes(n * sizeof(double));
-      simd::kernels().f64le_decode(src, n, scratch.data());
-      for (std::size_t i = 0; i < n; ++i) out.emplace_back(scratch[i]);
-      break;
-    }
-    case kColString: {
-      const std::vector<std::string> dict = read_dictionary(r);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t idx = r.varint();
-        if (idx >= dict.size()) {
-          throw std::runtime_error("bbx: dictionary index out of range");
-        }
-        out.emplace_back(dict[idx]);
-      }
-      break;
-    }
+      return col;
     case kColMixed: {
-      const std::vector<std::string> dict = read_dictionary(r);
+      // One level per record, in record order.
+      col.kind = Column::Kind::kCoded;
+      const std::vector<Value> dict = read_dictionary(r);
+      col.codes.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         switch (r.u8()) {
-          case 0: out.emplace_back(r.svarint()); break;
-          case 1: out.emplace_back(r.f64le()); break;
-          case 2: {
-            const std::uint64_t idx = r.varint();
-            if (idx >= dict.size()) {
-              throw std::runtime_error("bbx: dictionary index out of range");
-            }
-            out.emplace_back(dict[idx]);
-            break;
-          }
+          case 0: col.levels.emplace_back(r.svarint()); break;
+          case 1: col.levels.emplace_back(r.f64le()); break;
+          case 2: col.levels.push_back(dict[read_code(r, dict.size())]); break;
           default:
             throw std::runtime_error("bbx: unknown mixed-value kind tag");
         }
+        col.codes[i] = static_cast<std::uint32_t>(i);
       }
-      break;
+      return col;
     }
     default:
       throw std::runtime_error("bbx: unknown factor column encoding " +
                                std::to_string(tag));
   }
-  return out;
-}
-
-/// value_compare's numeric branch, unboxed: IEEE compare, NaN on either
-/// side satisfies only kNe.
-bool real_cmp(double a, MaskOp op, double b) {
-  switch (op) {
-    case MaskOp::kEq: return a == b;
-    case MaskOp::kNe: return a != b;
-    case MaskOp::kLt: return a < b;
-    case MaskOp::kLe: return a <= b;
-    case MaskOp::kGt: return a > b;
-    case MaskOp::kGe: return a >= b;
-  }
-  return false;
-}
-
-/// value_compare's string branch: lexicographic.
-bool string_cmp(const std::string& a, MaskOp op, const std::string& b) {
-  const int c = a.compare(b);
-  switch (op) {
-    case MaskOp::kEq: return c == 0;
-    case MaskOp::kNe: return c != 0;
-    case MaskOp::kLt: return c < 0;
-    case MaskOp::kLe: return c <= 0;
-    case MaskOp::kGt: return c > 0;
-    case MaskOp::kGe: return c >= 0;
-  }
-  return false;
-}
-
-simd::Cmp to_simd(MaskOp op) {
-  return static_cast<simd::Cmp>(static_cast<int>(op));
 }
 
 }  // namespace
+
+// --- Column -----------------------------------------------------------------
+
+std::size_t Column::size() const noexcept {
+  switch (kind) {
+    case Kind::kI64: return i64.size();
+    case Kind::kF64: return f64.size();
+    case Kind::kCoded: return codes.size();
+  }
+  return 0;
+}
+
+Value Column::value_at(std::size_t i) const {
+  switch (kind) {
+    case Kind::kI64: return Value(i64[i]);
+    case Kind::kF64: return Value(f64[i]);
+    case Kind::kCoded: return levels[codes[i]];
+  }
+  return Value();
+}
+
+std::size_t Column::bytes() const noexcept {
+  std::size_t total = i64.size() * sizeof(std::int64_t) +
+                      f64.size() * sizeof(double) +
+                      codes.size() * sizeof(std::uint32_t) +
+                      levels.size() * sizeof(Value);
+  for (const Value& v : levels) {
+    if (v.is_string()) total += v.as_string().size();
+  }
+  return total;
+}
 
 // --- BlockView --------------------------------------------------------------
 
 BlockView::BlockView(const std::string& raw, std::size_t n_factors,
                      std::size_t n_metrics)
-    : raw_(&raw), n_factors_(n_factors), n_metrics_(n_metrics) {
+    : raw_(&raw), n_factors_(n_factors) {
   ByteReader r(raw);
   records_ = r.varint();
   const std::size_t image_factors = r.varint();
@@ -248,7 +238,10 @@ BlockView::BlockView(const std::string& raw, std::size_t n_factors,
   if (image_factors != n_factors || image_metrics != n_metrics) {
     throw std::runtime_error("bbx: block schema does not match manifest");
   }
-  const std::size_t columns = 4 + n_factors + n_metrics;
+  if (records_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("bbx: block record count out of range");
+  }
+  const std::size_t columns = block_columns(n_factors, n_metrics);
   column_bytes_.reserve(columns);
   for (std::size_t c = 0; c < columns; ++c) {
     column_bytes_.push_back(r.varint());
@@ -261,7 +254,7 @@ BlockView::BlockView(const std::string& raw, std::size_t n_factors,
   }
 }
 
-ByteReader BlockView::column(std::size_t id) const {
+ByteReader BlockView::payload(std::size_t id) const {
   if (id >= column_bytes_.size()) {
     throw std::out_of_range("bbx: column id out of range");
   }
@@ -270,162 +263,29 @@ ByteReader BlockView::column(std::size_t id) const {
   return ByteReader(raw_->data() + start, column_bytes_[id]);
 }
 
-FactorTag BlockView::factor_tag(std::size_t f) const {
-  if (f >= n_factors_) {
-    throw std::out_of_range("bbx: factor index out of range");
+Column BlockView::column(std::size_t id) const {
+  ByteReader r = payload(id);
+  // Every column encoding spends at least one byte per record, so a
+  // record count the payload cannot hold is refused before anything is
+  // allocated for it.
+  if (r.remaining() < records_) {
+    throw std::runtime_error("bbx: column payload shorter than its records");
   }
-  ByteReader r = column(4 + f);
-  const std::uint8_t tag = r.u8();
-  if (tag > static_cast<std::uint8_t>(FactorTag::kMixed)) {
-    throw std::runtime_error("bbx: unknown factor column encoding " +
-                             std::to_string(tag));
+  if (id >= kFirstFactorColumn && id < kFirstFactorColumn + n_factors_) {
+    return decode_factor_column(r, records_);
   }
-  return static_cast<FactorTag>(tag);
+  Column col;
+  if (id < kTimestampColumn) {
+    col.kind = Column::Kind::kI64;
+    col.i64 = decode_i64_column(r, records_);
+  } else {
+    col.kind = Column::Kind::kF64;
+    col.f64 = decode_f64_column(r, records_);
+  }
+  return col;
 }
 
-std::vector<std::size_t> BlockView::index_column(std::size_t which) const {
-  if (which > 2) {
-    throw std::out_of_range("bbx: bookkeeping index column out of range");
-  }
-  ByteReader r = column(which);
-  return decode_delta_column(r, records_);
-}
-
-std::vector<double> BlockView::timestamp_column() const {
-  ByteReader r = column(3);
-  return decode_f64_column(r, records_);
-}
-
-std::vector<Value> BlockView::factor_column(std::size_t f) const {
-  if (f >= n_factors_) {
-    throw std::out_of_range("bbx: factor index out of range");
-  }
-  ByteReader r = column(4 + f);
-  return decode_factor_payload(r, records_);
-}
-
-std::vector<double> BlockView::metric_column(std::size_t m) const {
-  if (m >= n_metrics_) {
-    throw std::out_of_range("bbx: metric index out of range");
-  }
-  ByteReader r = column(4 + n_factors_ + m);
-  return decode_f64_column(r, records_);
-}
-
-void BlockView::eval_int_payload(ByteReader r, MaskOp op,
-                                 const Value& literal,
-                                 std::vector<char>& mask) const {
-  // "Running-prefix bounds": the delta varints stream through the
-  // dispatched decoder into unboxed prefix values -- no Value is ever
-  // constructed -- and the compare runs as one vector pass.
-  std::vector<std::uint64_t> scratch(records_);
-  decode_delta_payload(r, records_, scratch.data());
-  if (literal.is_int()) {
-    simd::kernels().cmp_mask_i64(
-        reinterpret_cast<const std::int64_t*>(scratch.data()), records_,
-        to_simd(op), literal.as_int(), mask.data(), false);
-    return;
-  }
-  // Int column against a real literal: value_compare widens both sides
-  // to double, so do exactly that (never truncate the literal).
-  const double lit = literal.as_real();
-  for (std::size_t i = 0; i < records_; ++i) {
-    const double v =
-        static_cast<double>(static_cast<std::int64_t>(scratch[i]));
-    mask[i] = real_cmp(v, op, lit);
-  }
-}
-
-void BlockView::eval_real_payload(ByteReader r, MaskOp op,
-                                  const Value& literal,
-                                  std::vector<char>& mask) const {
-  const char* src = r.bytes(records_ * sizeof(double));
-  simd::kernels().cmp_mask_f64(src, records_, to_simd(op),
-                               literal.as_real(), mask.data(), false);
-}
-
-void BlockView::eval_string_payload(ByteReader r, MaskOp op,
-                                    const Value& literal,
-                                    std::vector<char>& mask) const {
-  // Dictionary truth table: compare the literal against each distinct
-  // level once, then map the per-record codes -- the strings themselves
-  // are never materialized.
-  const std::vector<std::string> dict = read_dictionary(r);
-  std::vector<char> truth(dict.size());
-  for (std::size_t k = 0; k < dict.size(); ++k) {
-    truth[k] = string_cmp(dict[k], op, literal.as_string());
-  }
-  for (std::size_t i = 0; i < records_; ++i) {
-    const std::uint64_t idx = r.varint();
-    if (idx >= dict.size()) {
-      throw std::runtime_error("bbx: dictionary index out of range");
-    }
-    mask[i] = truth[idx];
-  }
-}
-
-bool BlockView::eval_column_mask(std::size_t column_id, MaskOp op,
-                                 const Value& literal,
-                                 std::vector<char>& mask) const {
-  mask.resize(records_);
-  const auto fill_kind_mismatch = [&] {
-    // value_compare across kinds: only != holds.
-    std::fill(mask.begin(), mask.end(),
-              static_cast<char>(op == MaskOp::kNe));
-  };
-  if (column_id < 3) {
-    if (literal.is_string()) {
-      fill_kind_mismatch();
-      return true;
-    }
-    eval_int_payload(column(column_id), op, literal, mask);
-    return true;
-  }
-  if (column_id == 3 || column_id >= 4 + n_factors_) {
-    if (column_id != 3 && column_id - 4 - n_factors_ >= n_metrics_) {
-      throw std::out_of_range("bbx: column id out of range");
-    }
-    if (literal.is_string()) {
-      fill_kind_mismatch();
-      return true;
-    }
-    eval_real_payload(column(column_id), op, literal, mask);
-    return true;
-  }
-  const std::size_t f = column_id - 4;
-  ByteReader r = column(4 + f);
-  const auto tag = static_cast<FactorTag>(r.u8());
-  switch (tag) {
-    case FactorTag::kInt:
-      if (literal.is_string()) {
-        fill_kind_mismatch();
-        return true;
-      }
-      eval_int_payload(r, op, literal, mask);
-      return true;
-    case FactorTag::kReal:
-      if (literal.is_string()) {
-        fill_kind_mismatch();
-        return true;
-      }
-      eval_real_payload(r, op, literal, mask);
-      return true;
-    case FactorTag::kString:
-      if (!literal.is_string()) {
-        fill_kind_mismatch();
-        return true;
-      }
-      eval_string_payload(r, op, literal, mask);
-      return true;
-    case FactorTag::kMixed:
-      // Per-value kind tags: the decoded path handles these.
-      return false;
-  }
-  throw std::runtime_error("bbx: unknown factor column encoding " +
-                           std::to_string(static_cast<unsigned>(tag)));
-}
-
-// --- whole-block and free-function projections ------------------------------
+// --- whole-block encode / decode --------------------------------------------
 
 std::string encode_block(const RawRecord* records, std::size_t n,
                          std::size_t n_factors, std::size_t n_metrics) {
@@ -466,60 +326,33 @@ std::vector<RawRecord> decode_block(const std::string& raw,
   const BlockView view(raw, n_factors, n_metrics);
   const std::size_t n = view.records();
 
-  const std::vector<std::size_t> sequence = view.index_column(0);
-  const std::vector<std::size_t> cell = view.index_column(1);
-  const std::vector<std::size_t> replicate = view.index_column(2);
-  const std::vector<double> timestamps = view.timestamp_column();
+  const Column sequence = view.column(kSequenceColumn);
+  const Column cell = view.column(kCellColumn);
+  const Column replicate = view.column(kReplicateColumn);
+  const Column timestamps = view.column(kTimestampColumn);
 
   std::vector<RawRecord> records(n);
   for (std::size_t i = 0; i < n; ++i) {
-    records[i].sequence = sequence[i];
-    records[i].cell_index = cell[i];
-    records[i].replicate = replicate[i];
-    records[i].timestamp_s = timestamps[i];
+    records[i].sequence = static_cast<std::size_t>(sequence.i64[i]);
+    records[i].cell_index = static_cast<std::size_t>(cell.i64[i]);
+    records[i].replicate = static_cast<std::size_t>(replicate.i64[i]);
+    records[i].timestamp_s = timestamps.f64[i];
     records[i].factors.reserve(n_factors);
     records[i].metrics.resize(n_metrics);
   }
   for (std::size_t f = 0; f < n_factors; ++f) {
-    std::vector<Value> column = view.factor_column(f);
+    const Column column = view.column(kFirstFactorColumn + f);
     for (std::size_t i = 0; i < n; ++i) {
-      records[i].factors.push_back(std::move(column[i]));
+      records[i].factors.push_back(column.value_at(i));
     }
   }
   for (std::size_t m = 0; m < n_metrics; ++m) {
-    const std::vector<double> column = view.metric_column(m);
+    const Column column = view.column(kFirstFactorColumn + n_factors + m);
     for (std::size_t i = 0; i < n; ++i) {
-      records[i].metrics[m] = column[i];
+      records[i].metrics[m] = column.f64[i];
     }
   }
   return records;
-}
-
-std::vector<std::size_t> decode_index_column(const std::string& raw,
-                                             std::size_t n_factors,
-                                             std::size_t n_metrics,
-                                             std::size_t which) {
-  return BlockView(raw, n_factors, n_metrics).index_column(which);
-}
-
-std::vector<double> decode_timestamp_column(const std::string& raw,
-                                            std::size_t n_factors,
-                                            std::size_t n_metrics) {
-  return BlockView(raw, n_factors, n_metrics).timestamp_column();
-}
-
-std::vector<Value> decode_factor_column(const std::string& raw,
-                                        std::size_t n_factors,
-                                        std::size_t n_metrics,
-                                        std::size_t factor_index) {
-  return BlockView(raw, n_factors, n_metrics).factor_column(factor_index);
-}
-
-std::vector<double> decode_metric_column(const std::string& raw,
-                                         std::size_t n_factors,
-                                         std::size_t n_metrics,
-                                         std::size_t metric_index) {
-  return BlockView(raw, n_factors, n_metrics).metric_column(metric_index);
 }
 
 }  // namespace cal::io::archive

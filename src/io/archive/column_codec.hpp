@@ -23,8 +23,22 @@
 // The block image starts with varint record/factor/metric counts and a
 // per-column byte-size table, so a reader can decode one projected
 // column without touching the others.
+//
+// Decoding yields typed Columns, one per column id (0 sequence, 1 cell,
+// 2 replicate, 3 timestamp, 4+f factor f, 4+n_factors+m metric m --
+// the zone-map order too):
+//
+//   i64     sequence / cell / replicate and all-int factor columns
+//   f64     timestamp, metrics and all-real factor columns
+//   coded   u32 codes into a level table: string factor columns use the
+//           block dictionary as their levels; mixed-kind columns get one
+//           level per record (no hashing, no special path)
+//
+// Column::value_at is the one place a decoded value is boxed into a
+// Value; predicates, folds and caches work on the typed payload.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,24 +48,42 @@
 
 namespace cal::io::archive {
 
-/// Per-block factor column encodings (the tag byte).
-enum class FactorTag : unsigned char {
-  kInt = 0,     ///< zigzag-delta varints
-  kReal = 1,    ///< raw LE doubles
-  kString = 2,  ///< dictionary + per-record indices
-  kMixed = 3,   ///< per-value kind tag; strings share the dictionary
+/// Column ids of the bookkeeping columns; factor f is
+/// kFirstFactorColumn + f and metric m kFirstFactorColumn + n_factors + m.
+inline constexpr std::size_t kSequenceColumn = 0;
+inline constexpr std::size_t kCellColumn = 1;
+inline constexpr std::size_t kReplicateColumn = 2;
+inline constexpr std::size_t kTimestampColumn = 3;
+inline constexpr std::size_t kFirstFactorColumn = 4;
+
+/// Number of column ids of a block with this schema.
+inline std::size_t block_columns(std::size_t n_factors,
+                                 std::size_t n_metrics) noexcept {
+  return kFirstFactorColumn + n_factors + n_metrics;
+}
+
+/// One decoded block column; exactly one payload matches `kind`.
+struct Column {
+  enum class Kind : unsigned char { kI64, kF64, kCoded };
+
+  Kind kind = Kind::kF64;
+  std::vector<std::int64_t> i64;
+  std::vector<double> f64;
+  std::vector<std::uint32_t> codes;  ///< kCoded: index into `levels`
+  std::vector<Value> levels;         ///< kCoded
+
+  std::size_t size() const noexcept;
+
+  /// Record i's value, boxed.
+  Value value_at(std::size_t i) const;
+
+  /// Approximate resident size (payload vectors plus level strings).
+  std::size_t bytes() const noexcept;
 };
 
-/// Comparison ops of encoded-domain predicate evaluation; numerically
-/// identical to query::value_compare (exact int64 when both sides are
-/// ints, IEEE double compare otherwise -- NaN satisfies only kNe -- and
-/// lexicographic for strings).
-enum class MaskOp : unsigned char { kEq = 0, kNe, kLt, kLe, kGt, kGe };
-
 /// One block image with its header parsed once: column byte ranges,
-/// record count, and per-column decode -- the projection entry point
-/// the per-column free functions below share.  Borrows `raw`; the
-/// image must outlive the view.
+/// record count, and per-column decode.  Borrows `raw`; the image must
+/// outlive the view.
 class BlockView {
  public:
   BlockView(const std::string& raw, std::size_t n_factors,
@@ -59,40 +91,15 @@ class BlockView {
 
   std::size_t records() const noexcept { return records_; }
 
-  /// Encoding tag of factor column `f` (peeked, nothing decoded).
-  FactorTag factor_tag(std::size_t f) const;
-
-  /// Per-column projections (unified ids are implicit in the names).
-  std::vector<std::size_t> index_column(std::size_t which) const;
-  std::vector<double> timestamp_column() const;
-  std::vector<Value> factor_column(std::size_t f) const;
-  std::vector<double> metric_column(std::size_t m) const;
-
-  /// Encoded-domain predicate evaluation: fills mask[i] = (record i's
-  /// `column_id` value OP literal) straight off the encoded bytes --
-  /// delta varints stream through a running prefix, f64 columns are
-  /// compared in place, string-dictionary columns compare the literal
-  /// against each distinct level once and map the per-record codes.
-  /// Returns false (mask unspecified) when the column's block encoding
-  /// defeats encoded evaluation (mixed factor columns): the caller
-  /// falls back to decoded evaluation.  Column ids: 0 sequence, 1 cell,
-  /// 2 replicate, 3 timestamp, 4+f factor f, 4+n_factors+m metric m.
-  bool eval_column_mask(std::size_t column_id, MaskOp op,
-                        const Value& literal, std::vector<char>& mask) const;
+  /// Decodes column `id` (see the header comment for the id space).
+  Column column(std::size_t id) const;
 
  private:
-  ByteReader column(std::size_t id) const;
-  void eval_int_payload(ByteReader r, MaskOp op, const Value& literal,
-                        std::vector<char>& mask) const;
-  void eval_real_payload(ByteReader r, MaskOp op, const Value& literal,
-                         std::vector<char>& mask) const;
-  void eval_string_payload(ByteReader r, MaskOp op, const Value& literal,
-                           std::vector<char>& mask) const;
+  ByteReader payload(std::size_t id) const;
 
   const std::string* raw_;
   std::size_t records_ = 0;
   std::size_t n_factors_ = 0;
-  std::size_t n_metrics_ = 0;
   std::size_t payload_start_ = 0;
   std::vector<std::size_t> column_bytes_;
 };
@@ -106,29 +113,5 @@ std::string encode_block(const RawRecord* records, std::size_t n,
 std::vector<RawRecord> decode_block(const std::string& raw,
                                     std::size_t n_factors,
                                     std::size_t n_metrics);
-
-/// Projection: decodes one bookkeeping index column of the block
-/// (`which`: 0 = sequence, 1 = cell_index, 2 = replicate).
-std::vector<std::size_t> decode_index_column(const std::string& raw,
-                                             std::size_t n_factors,
-                                             std::size_t n_metrics,
-                                             std::size_t which);
-
-/// Projection: decodes only the timestamp column of the block.
-std::vector<double> decode_timestamp_column(const std::string& raw,
-                                            std::size_t n_factors,
-                                            std::size_t n_metrics);
-
-/// Projection: decodes only factor column `factor_index` of the block.
-std::vector<Value> decode_factor_column(const std::string& raw,
-                                        std::size_t n_factors,
-                                        std::size_t n_metrics,
-                                        std::size_t factor_index);
-
-/// Projection: decodes only metric column `metric_index` of the block.
-std::vector<double> decode_metric_column(const std::string& raw,
-                                         std::size_t n_factors,
-                                         std::size_t n_metrics,
-                                         std::size_t metric_index);
 
 }  // namespace cal::io::archive

@@ -77,13 +77,16 @@ void ensure_env_loaded() noexcept {
 }
 
 thread_local ThreadBuffer* tl_buffer = nullptr;
-thread_local std::string* tl_pending_name = nullptr;
+// A name set before this thread's buffer exists.  Only the owning
+// thread reads it (when the buffer is created), so its exit-time
+// destructor cannot race a flush, which reads buffer names only.
+thread_local std::string tl_pending_name;
 
 ThreadBuffer& local_buffer() {
   if (tl_buffer == nullptr) {
     std::lock_guard<std::mutex> lock(registry_mutex());
     auto* buf = new ThreadBuffer(static_cast<std::uint32_t>(buffers().size()));
-    if (tl_pending_name != nullptr) buf->name = *tl_pending_name;
+    buf->name = tl_pending_name;
     buffers().push_back(buf);
     tl_buffer = buf;
   }
@@ -139,10 +142,8 @@ void set_thread_name(const std::string& name) {
     return;
   }
   // No buffer yet (tracing may never arm): stash the name thread-local
-  // so a buffer created later inherits it.  Leaked like the buffers;
-  // thread_local destructors would race an exit-time flush.
-  if (tl_pending_name == nullptr) tl_pending_name = new std::string();
-  *tl_pending_name = name;
+  // so a buffer created later inherits it.
+  tl_pending_name = name;
 }
 
 std::uint64_t now_ns() noexcept {

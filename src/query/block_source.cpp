@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "io/archive/column_codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
@@ -12,119 +11,71 @@ namespace cal::query {
 namespace ar = io::archive;
 
 void ColumnSet::merge(const ColumnSet& other) {
-  seq |= other.seq;
-  cell |= other.cell;
-  rep |= other.rep;
-  ts |= other.ts;
-  for (std::size_t i = 0; i < factors.size(); ++i) {
-    factors[i] |= other.factors[i];
-  }
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    metrics[i] |= other.metrics[i];
+  for (std::size_t i = 0; i < flags.size() && i < other.flags.size(); ++i) {
+    flags[i] |= other.flags[i];
   }
 }
 
 std::vector<std::uint32_t> ColumnSet::column_ids() const {
   std::vector<std::uint32_t> ids;
-  if (seq) ids.push_back(0);
-  if (cell) ids.push_back(1);
-  if (rep) ids.push_back(2);
-  if (ts) ids.push_back(3);
-  for (std::size_t f = 0; f < factors.size(); ++f) {
-    if (factors[f]) ids.push_back(static_cast<std::uint32_t>(4 + f));
-  }
-  for (std::size_t m = 0; m < metrics.size(); ++m) {
-    if (metrics[m]) {
-      ids.push_back(static_cast<std::uint32_t>(4 + factors.size() + m));
-    }
+  for (std::size_t id = 0; id < flags.size(); ++id) {
+    if (flags[id]) ids.push_back(static_cast<std::uint32_t>(id));
   }
   return ids;
 }
 
-DecodedColumns decode_columns(const std::string& raw, const ColumnSet& needs,
-                              std::size_t records, std::size_t n_factors,
-                              std::size_t n_metrics) {
+void decode_columns(const std::string& raw, const ColumnSet& needs,
+                    std::size_t records, std::size_t n_factors,
+                    std::size_t n_metrics, DecodedColumns* d) {
   // The one decode chokepoint both the direct and the cached block
   // sources funnel through: every block decode shows up here.
   CAL_SPAN("query.decode_block");
   CAL_TIME_SCOPE("query.decode_seconds");
-  CAL_COUNT("query.blocks_decoded", 1);
-  DecodedColumns d;
-  d.records = records;
-  // The scan loop runs to the manifest's record count; a decoded column
-  // of any other length means the manifest and the block image disagree
-  // (tampering the PR-4 corruption tests promise a clear error for), so
-  // check every column before it can be indexed out of bounds.
-  const auto checked = [records](auto column) {
-    if (column.size() != records) {
+  if (d->columns.empty()) {
+    // First decode of this block (a second call only tops up columns).
+    CAL_COUNT("query.blocks_decoded", 1);
+    d->records = records;
+    d->columns.resize(ar::block_columns(n_factors, n_metrics));
+  }
+  const ar::BlockView view(raw, n_factors, n_metrics);
+  for (std::size_t id = 0; id < d->columns.size(); ++id) {
+    if (!needs.has(id) || d->columns[id]) continue;
+    auto column = std::make_shared<const ar::Column>(view.column(id));
+    // The scan loop runs to the manifest's record count; a decoded
+    // column of any other length means the manifest and the block image
+    // disagree, so check every column before it can be indexed out of
+    // bounds.
+    if (column->size() != records) {
       throw std::runtime_error(
-          "query: block decoded to " + std::to_string(column.size()) +
+          "query: block decoded to " + std::to_string(column->size()) +
           " records but the manifest declares " + std::to_string(records));
     }
-    using T = decltype(column);
-    return std::make_shared<const T>(std::move(column));
-  };
-  if (needs.seq) {
-    d.seq = checked(ar::decode_index_column(raw, n_factors, n_metrics, 0));
+    d->columns[id] = std::move(column);
   }
-  if (needs.cell) {
-    d.cell = checked(ar::decode_index_column(raw, n_factors, n_metrics, 1));
-  }
-  if (needs.rep) {
-    d.rep = checked(ar::decode_index_column(raw, n_factors, n_metrics, 2));
-  }
-  if (needs.ts) {
-    d.ts = checked(ar::decode_timestamp_column(raw, n_factors, n_metrics));
-  }
-  d.factors.resize(n_factors);
-  d.metrics.resize(n_metrics);
-  for (std::size_t f = 0; f < n_factors; ++f) {
-    if (f < needs.factors.size() && needs.factors[f]) {
-      d.factors[f] =
-          checked(ar::decode_factor_column(raw, n_factors, n_metrics, f));
-    }
-  }
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    if (m < needs.metrics.size() && needs.metrics[m]) {
-      d.metrics[m] =
-          checked(ar::decode_metric_column(raw, n_factors, n_metrics, m));
-    }
-  }
-  return d;
 }
 
 void BlockSource::scan_filtered(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<ColumnSet>& out_needs,
+    const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
     const std::vector<char>& uncertain, const MaskProgram* program,
     core::WorkerPool* pool,
     const std::function<void(std::size_t, const DecodedColumns&,
                              const std::vector<char>*)>& body) const {
-  if (program == nullptr) {
-    scan(blocks, out_needs, pool,
-         [&](std::size_t ordinal, const DecodedColumns& d) {
-           body(ordinal, d, nullptr);
-         });
-    return;
-  }
   if (uncertain.size() != blocks.size()) {
     throw std::invalid_argument(
         "query: scan_filtered needs one uncertainty flag per block");
   }
-  // No raw images here: decode the union of output + predicate columns
-  // and evaluate decoded.  Cached sources keep their column reuse.
-  std::vector<ColumnSet> merged = out_needs;
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    if (uncertain[i]) merged[i].merge(program->needs());
+  std::vector<ColumnSet> needs(blocks.size(), out_needs);
+  for (std::size_t i = 0; i < needs.size(); ++i) {
+    if (program && uncertain[i]) needs[i].merge(program->needs());
   }
-  scan(blocks, merged, pool,
+  scan(blocks, needs, pool,
        [&](std::size_t ordinal, const DecodedColumns& d) {
-         if (!uncertain[ordinal]) {
+         if (!program || !uncertain[ordinal]) {
            body(ordinal, d, nullptr);
            return;
          }
          std::vector<char> mask;
-         program->eval_decoded(d, mask);
+         program->eval(d, mask);
          body(ordinal, d, &mask);
        });
 }
@@ -139,35 +90,26 @@ void DirectBlockSource::scan(
         "query: scan needs one ColumnSet per block");
   }
   const ar::Manifest& manifest = reader_.manifest();
-  const std::size_t n_factors = manifest.factor_names.size();
-  const std::size_t n_metrics = manifest.metric_names.size();
   reader_.scan_blocks(
       blocks, pool,
       [&](std::size_t ordinal, std::size_t block, const std::string& raw) {
-        body(ordinal,
-             decode_columns(raw, needs[ordinal],
-                            manifest.blocks[block].records, n_factors,
-                            n_metrics));
+        DecodedColumns d;
+        decode_columns(raw, needs[ordinal], manifest.blocks[block].records,
+                       manifest.factor_names.size(),
+                       manifest.metric_names.size(), &d);
+        body(ordinal, d);
       });
 }
 
 void DirectBlockSource::scan_filtered(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<ColumnSet>& out_needs,
+    const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
     const std::vector<char>& uncertain, const MaskProgram* program,
     core::WorkerPool* pool,
     const std::function<void(std::size_t, const DecodedColumns&,
                              const std::vector<char>*)>& body) const {
-  if (program == nullptr) {
-    BlockSource::scan_filtered(blocks, out_needs, uncertain, program, pool,
-                               body);
-    return;
-  }
-  if (out_needs.size() != blocks.size() ||
-      uncertain.size() != blocks.size()) {
+  if (uncertain.size() != blocks.size()) {
     throw std::invalid_argument(
-        "query: scan_filtered needs one ColumnSet and uncertainty flag "
-        "per block");
+        "query: scan_filtered needs one uncertainty flag per block");
   }
   const ar::Manifest& manifest = reader_.manifest();
   const std::size_t n_factors = manifest.factor_names.size();
@@ -176,35 +118,20 @@ void DirectBlockSource::scan_filtered(
       blocks, pool,
       [&](std::size_t ordinal, std::size_t block, const std::string& raw) {
         const std::size_t records = manifest.blocks[block].records;
-        if (!uncertain[ordinal]) {
-          body(ordinal,
-               decode_columns(raw, out_needs[ordinal], records, n_factors,
-                              n_metrics),
-               nullptr);
-          return;
-        }
+        DecodedColumns d;
         std::vector<char> mask;
-        if (program->eval_encoded(raw, records, mask)) {
-          // Predicate settled without decoding anything.  A block no
-          // record of which survives never decodes its output columns
-          // at all -- this is where pruned-to-kSome blocks get cheap.
+        const bool filter = program && uncertain[ordinal];
+        if (filter) {
+          decode_columns(raw, program->needs(), records, n_factors,
+                         n_metrics, &d);
+          program->eval(d, mask);
+          // No record survives: the output columns never decode.
           if (simd::kernels().mask_count(mask.data(), mask.size()) == 0) {
             return;
           }
-          body(ordinal,
-               decode_columns(raw, out_needs[ordinal], records, n_factors,
-                              n_metrics),
-               &mask);
-          return;
         }
-        // Encoded evaluation defeated (mixed-kind factor column):
-        // decode the union and evaluate over decoded columns instead.
-        ColumnSet merged = out_needs[ordinal];
-        merged.merge(program->needs());
-        const DecodedColumns d =
-            decode_columns(raw, merged, records, n_factors, n_metrics);
-        program->eval_decoded(d, mask);
-        body(ordinal, d, &mask);
+        decode_columns(raw, out_needs, records, n_factors, n_metrics, &d);
+        body(ordinal, d, filter ? &mask : nullptr);
       });
 }
 

@@ -1,26 +1,22 @@
 #pragma once
 // Block-provider seam of the query engine.
 //
-// BundleQuery used to fetch + decode block columns inline, which meant a
-// decoded column died with the query that decoded it -- every CLI
-// invocation, and every query of a long-lived server, re-decoded the
-// same blocks from scratch.  BlockSource is the hook that fixes that:
-// the scan asks a source for "these blocks, these columns per block",
-// and the source decides where the decoded columns come from.
+// The scan asks a source for "these blocks, these columns per block",
+// and the source decides where the decoded columns come from:
 //
 //   DirectBlockSource    decodes from the bundle's shard files on every
-//                        scan (exactly the old inline behavior -- the
-//                        single-shot CLI path, byte-identical by
-//                        construction since both sources share
-//                        decode_columns());
+//                        scan (the single-shot CLI path);
 //   serve::CachingBlockSource
 //                        consults an LRU decoded-column cache first and
 //                        only touches the shards for columns the cache
 //                        does not hold (see src/serve/).
 //
-// Columns travel as shared_ptr vectors so a cache can hand the same
-// decoded column to many concurrent scans without copying; a scan never
-// mutates what it is handed.
+// Both decode through decode_columns(), so every column a scan sees is
+// the same typed io::archive::Column whichever source produced it, and
+// the compiled predicate (MaskProgram) has exactly one evaluator.
+// Columns travel as shared_ptrs indexed by column id, so a cache can
+// hand the same decoded column to many concurrent scans without
+// copying; a scan never mutates what it is handed.
 
 #include <cstdint>
 #include <functional>
@@ -28,50 +24,58 @@
 #include <string>
 #include <vector>
 
-#include "core/value.hpp"
 #include "core/worker_pool.hpp"
 #include "io/archive/bbx_reader.hpp"
+#include "io/archive/column_codec.hpp"
 
 namespace cal::query {
 
-/// Which columns of a block a scan needs.  Column identifiers follow the
-/// block-image (and zone-map) order: 0 sequence, 1 cell, 2 replicate,
-/// 3 timestamp, 4+f factor f, 4+n_factors+m metric m.
+/// Which columns of a block a scan needs: one flag per column id of the
+/// block image (0 sequence, 1 cell, 2 replicate, 3 timestamp,
+/// 4+f factor f, 4+n_factors+m metric m -- the zone-map order too).
 struct ColumnSet {
-  bool seq = false, cell = false, rep = false, ts = false;
-  std::vector<char> factors;  ///< per factor index
-  std::vector<char> metrics;  ///< per metric index
+  std::vector<char> flags;
 
   ColumnSet() = default;
-  ColumnSet(std::size_t n_factors, std::size_t n_metrics)
-      : factors(n_factors, 0), metrics(n_metrics, 0) {}
+  explicit ColumnSet(std::size_t columns) : flags(columns, 0) {}
 
+  ColumnSet& add(std::size_t id) {
+    flags.at(id) = 1;
+    return *this;
+  }
+  bool has(std::size_t id) const noexcept {
+    return id < flags.size() && flags[id] != 0;
+  }
   void merge(const ColumnSet& other);
 
-  /// Unified column ids of every requested column, ascending.
+  /// Ids of every requested column, ascending.
   std::vector<std::uint32_t> column_ids() const;
 };
 
-/// The decoded columns of one block (only those a scan asked for; the
-/// rest are null).  Every present column holds exactly `records` values.
+/// The decoded columns of one block, indexed by column id (only those a
+/// scan asked for; the rest are null).  Every present column holds
+/// exactly `records` values.
 struct DecodedColumns {
   std::size_t records = 0;
-  std::shared_ptr<const std::vector<std::size_t>> seq, cell, rep;
-  std::shared_ptr<const std::vector<double>> ts;
-  std::vector<std::shared_ptr<const std::vector<Value>>> factors;
-  std::vector<std::shared_ptr<const std::vector<double>>> metrics;
+  std::vector<std::shared_ptr<const io::archive::Column>> columns;
+
+  const io::archive::Column& operator[](std::size_t id) const {
+    return *columns[id];
+  }
 };
 
-/// Decodes the requested columns out of a block's raw image -- the one
-/// decode path every source shares.  Throws when a column decodes to a
-/// record count other than `records` (manifest / image disagreement).
-DecodedColumns decode_columns(const std::string& raw, const ColumnSet& needs,
-                              std::size_t records, std::size_t n_factors,
-                              std::size_t n_metrics);
+/// Decodes every column of `needs` that `d` does not hold yet out of a
+/// block's raw image -- the one decode path every source shares.  `d`
+/// is sized to the block's column count and its record count set on
+/// first use.  Throws when a column decodes to a record count other
+/// than `records` (manifest / image disagreement).
+void decode_columns(const std::string& raw, const ColumnSet& needs,
+                    std::size_t records, std::size_t n_factors,
+                    std::size_t n_metrics, DecodedColumns* d);
 
 /// A query predicate compiled for per-block evaluation.  The engine
 /// builds one per query; sources use it to evaluate the filter before
-/// (or instead of) materializing the scan's output columns.
+/// materializing the scan's output columns.
 class MaskProgram {
  public:
   virtual ~MaskProgram() = default;
@@ -79,18 +83,10 @@ class MaskProgram {
   /// The columns the predicate reads.
   virtual const ColumnSet& needs() const = 0;
 
-  /// Evaluates the predicate straight off the encoded block image into
-  /// `mask` (one char per record, 1 = passes).  Returns false -- mask
-  /// contents unspecified -- when some encoding in the image defeats
-  /// encoded evaluation (mixed-kind factor columns); the caller then
-  /// falls back to eval_decoded over decoded columns.
-  virtual bool eval_encoded(const std::string& raw, std::size_t records,
-                            std::vector<char>& mask) const = 0;
-
   /// Evaluates the predicate over decoded columns (which must include
-  /// needs()).  Byte-identical to eval_encoded where both apply.
-  virtual void eval_decoded(const DecodedColumns& columns,
-                            std::vector<char>& mask) const = 0;
+  /// needs()) into `mask`: one char per record, 1 = passes.
+  virtual void eval(const DecodedColumns& columns,
+                    std::vector<char>& mask) const = 0;
 };
 
 /// Where a scan's decoded columns come from.
@@ -112,20 +108,16 @@ class BlockSource {
                                              const DecodedColumns& columns)>&
                         body) const = 0;
 
-  /// Predicate-aware scan: decodes `out_needs[ordinal]` for each block
-  /// and calls `body(ordinal, columns, mask)` where `mask` is the
-  /// predicate's per-record verdict -- nullptr means every record
-  /// passes (the block's zone map was certain, `uncertain[ordinal]`
-  /// false, or `program` null).  A source may skip `body` entirely for
-  /// blocks whose mask comes out all-zero; callers must treat an
-  /// uncalled ordinal as matching nothing.  The default implementation
-  /// decodes the union of output + predicate columns and evaluates
-  /// decoded; sources that see raw images may instead evaluate in the
-  /// encoded domain and decode output columns only for surviving
-  /// blocks.
+  /// Predicate-aware scan: decodes `out_needs` for each block and calls
+  /// `body(ordinal, columns, mask)` where `mask` is the predicate's
+  /// per-record verdict -- nullptr means every record passes (the
+  /// block's zone map was certain, `uncertain[ordinal]` false, or
+  /// `program` null).  A source may skip `body` entirely for blocks
+  /// whose mask comes out all-zero; callers must treat an uncalled
+  /// ordinal as matching nothing.  The default implementation decodes
+  /// the union of output + predicate columns, then evaluates.
   virtual void scan_filtered(
-      const std::vector<std::size_t>& blocks,
-      const std::vector<ColumnSet>& out_needs,
+      const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
       const std::vector<char>& uncertain, const MaskProgram* program,
       core::WorkerPool* pool,
       const std::function<void(std::size_t ordinal,
@@ -145,14 +137,11 @@ class DirectBlockSource final : public BlockSource {
             const std::function<void(std::size_t, const DecodedColumns&)>&
                 body) const override;
 
-  /// Encoded-domain override: evaluates the predicate on the raw block
-  /// image, skips decode + body for blocks no record of which survives,
-  /// and decodes only `out_needs` (not the predicate's columns) for the
-  /// rest.  Falls back to the decode-union path per block when the
-  /// image defeats encoded evaluation.
+  /// Decodes an uncertain block's predicate columns first, evaluates,
+  /// skips decode + body when no record survives, and otherwise decodes
+  /// only the output columns the predicate did not already bring in.
   void scan_filtered(
-      const std::vector<std::size_t>& blocks,
-      const std::vector<ColumnSet>& out_needs,
+      const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
       const std::vector<char>& uncertain, const MaskProgram* program,
       core::WorkerPool* pool,
       const std::function<void(std::size_t, const DecodedColumns&,

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
@@ -52,20 +54,13 @@ namespace {
 
 // --- bound columns and compiled predicates ----------------------------------
 
-/// A column resolved against the bundle schema.
-enum class Col { kSeq, kCell, kRep, kTs, kFactor, kMetric };
-
-struct BoundRef {
-  Col col = Col::kSeq;
-  std::size_t index = 0;  ///< factor / metric position
-};
-
-/// Compiled predicate node: schema-resolved refs, bind-time constant
-/// folding already applied (kConst subsumes whole decided subtrees).
+/// Compiled predicate node: schema-resolved column ids, bind-time
+/// constant folding already applied (kConst subsumes whole decided
+/// subtrees).
 struct Node {
   enum class Kind { kCmp, kAnd, kOr, kNot, kConst };
   Kind kind = Kind::kConst;
-  BoundRef ref;
+  std::size_t column = 0;  ///< kCmp: column id of the block image
   CmpOp op = CmpOp::kEq;
   Value literal;
   bool truth = true;  ///< kConst
@@ -81,51 +76,78 @@ NodePtr make_const(bool truth) {
   return n;
 }
 
+/// The bundle schema in column ids (io::archive's block-image order).
 struct Schema {
-  const std::vector<std::string>* factors = nullptr;
-  const std::vector<std::string>* metrics = nullptr;
+  const ar::Manifest& manifest;
 
-  std::optional<BoundRef> find(const std::string& name) const {
-    for (std::size_t i = 0; i < factors->size(); ++i) {
-      if ((*factors)[i] == name) return BoundRef{Col::kFactor, i};
+  std::size_t n_factors() const { return manifest.factor_names.size(); }
+  std::size_t columns() const {
+    return ar::block_columns(n_factors(), manifest.metric_names.size());
+  }
+  bool is_factor(std::size_t id) const {
+    return id >= ar::kFirstFactorColumn &&
+           id < ar::kFirstFactorColumn + n_factors();
+  }
+  bool is_metric(std::size_t id) const {
+    return id >= ar::kFirstFactorColumn + n_factors();
+  }
+
+  std::optional<std::size_t> find(const std::string& name) const {
+    const auto& factors = manifest.factor_names;
+    const auto& metrics = manifest.metric_names;
+    for (std::size_t i = 0; i < factors.size(); ++i) {
+      if (factors[i] == name) return ar::kFirstFactorColumn + i;
     }
-    for (std::size_t i = 0; i < metrics->size(); ++i) {
-      if ((*metrics)[i] == name) return BoundRef{Col::kMetric, i};
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+      if (metrics[i] == name) return ar::kFirstFactorColumn + n_factors() + i;
     }
     return std::nullopt;
   }
+
+  /// Column ids of the named group-by factors.
+  std::vector<std::size_t> factors(
+      const std::vector<std::string>& names) const {
+    std::vector<std::size_t> ids;
+    for (const std::string& name : names) {
+      const auto id = find(name);
+      if (!id || !is_factor(*id)) {
+        throw std::out_of_range("query: group-by column '" + name +
+                                "' is not a factor of the bundle");
+      }
+      ids.push_back(*id);
+    }
+    return ids;
+  }
 };
 
-BoundRef resolve(const ColumnRef& ref, const Schema& schema) {
+std::size_t resolve(const ColumnRef& ref, const Schema& schema) {
   // Schema names shadow the reserved bookkeeping names, so a campaign
   // with a factor literally called "cell" stays addressable.
   if (const auto named = schema.find(ref.name)) return *named;
   switch (ref.kind) {
-    case ColumnKind::kSequence: return {Col::kSeq, 0};
-    case ColumnKind::kCellIndex: return {Col::kCell, 0};
-    case ColumnKind::kReplicate: return {Col::kRep, 0};
-    case ColumnKind::kTimestamp: return {Col::kTs, 0};
+    case ColumnKind::kSequence: return ar::kSequenceColumn;
+    case ColumnKind::kCellIndex: return ar::kCellColumn;
+    case ColumnKind::kReplicate: return ar::kReplicateColumn;
+    case ColumnKind::kTimestamp: return ar::kTimestampColumn;
     case ColumnKind::kNamed: break;
   }
   throw std::out_of_range("query: unknown column '" + ref.name +
                           "' (not a factor, metric, or bookkeeping name)");
 }
 
-bool numeric_only(Col col) { return col != Col::kFactor; }
-
 NodePtr compile(const Expr& e, const Schema& schema) {
   switch (e.kind()) {
     case Expr::Kind::kCmp: {
-      const BoundRef ref = resolve(e.column(), schema);
+      const std::size_t column = resolve(e.column(), schema);
       // Constant folding: a numeric-only column compared to a string
       // literal is decided now -- != matches every record, everything
       // else matches none.
-      if (numeric_only(ref.col) && e.literal().is_string()) {
+      if (!schema.is_factor(column) && e.literal().is_string()) {
         return make_const(e.op() == CmpOp::kNe);
       }
       auto n = std::make_unique<Node>();
       n->kind = Node::Kind::kCmp;
-      n->ref = ref;
+      n->column = column;
       n->op = e.op();
       n->literal = e.literal();
       return n;
@@ -195,18 +217,6 @@ Tri tri_not(Tri a) {
   return Tri::kSome;
 }
 
-std::size_t zone_column(const BoundRef& ref, std::size_t n_factors) {
-  switch (ref.col) {
-    case Col::kSeq: return 0;
-    case Col::kCell: return 1;
-    case Col::kRep: return 2;
-    case Col::kTs: return 3;
-    case Col::kFactor: return 4 + ref.index;
-    case Col::kMetric: return 4 + n_factors + ref.index;
-  }
-  return 0;
-}
-
 Tri zone_cmp(const Node& node, const ar::ColumnStats& stats) {
   using Kind = ar::ColumnStats::Kind;
   if (stats.kind == Kind::kNone) return Tri::kSome;
@@ -257,44 +267,24 @@ Tri zone_cmp(const Node& node, const ar::ColumnStats& stats) {
   return satisfied == stats.levels.size() ? Tri::kAll : Tri::kSome;
 }
 
-Tri zone_eval(const Node& node, const ar::BlockStats& stats,
-              std::size_t n_factors) {
+Tri zone_eval(const Node& node, const ar::BlockStats& stats) {
   switch (node.kind) {
     case Node::Kind::kConst: return node.truth ? Tri::kAll : Tri::kNone;
-    case Node::Kind::kCmp:
-      return zone_cmp(node, stats.columns[zone_column(node.ref, n_factors)]);
+    case Node::Kind::kCmp: return zone_cmp(node, stats.columns[node.column]);
     case Node::Kind::kAnd:
-      return tri_and(zone_eval(*node.lhs, stats, n_factors),
-                     zone_eval(*node.rhs, stats, n_factors));
+      return tri_and(zone_eval(*node.lhs, stats), zone_eval(*node.rhs, stats));
     case Node::Kind::kOr:
-      return tri_or(zone_eval(*node.lhs, stats, n_factors),
-                    zone_eval(*node.rhs, stats, n_factors));
-    case Node::Kind::kNot:
-      return tri_not(zone_eval(*node.lhs, stats, n_factors));
+      return tri_or(zone_eval(*node.lhs, stats), zone_eval(*node.rhs, stats));
+    case Node::Kind::kNot: return tri_not(zone_eval(*node.lhs, stats));
   }
   return Tri::kSome;
 }
 
-// --- block decode, driven by what the query needs ---------------------------
-// Column sets and decoded columns are the public ColumnSet /
-// DecodedColumns of query/block_source.hpp: the same structures a
-// caching BlockSource keys and serves, so every scan -- single-shot CLI
-// or server -- goes through one decode path.
-
-void add_ref(ColumnSet& needs, const BoundRef& ref) {
-  switch (ref.col) {
-    case Col::kSeq: needs.seq = true; break;
-    case Col::kCell: needs.cell = true; break;
-    case Col::kRep: needs.rep = true; break;
-    case Col::kTs: needs.ts = true; break;
-    case Col::kFactor: needs.factors[ref.index] = 1; break;
-    case Col::kMetric: needs.metrics[ref.index] = 1; break;
-  }
-}
+// --- predicate evaluation over typed columns --------------------------------
 
 void collect_needs(const Node& node, ColumnSet& needs) {
   switch (node.kind) {
-    case Node::Kind::kCmp: add_ref(needs, node.ref); break;
+    case Node::Kind::kCmp: needs.add(node.column); break;
     case Node::Kind::kAnd:
     case Node::Kind::kOr:
       collect_needs(*node.lhs, needs);
@@ -303,32 +293,6 @@ void collect_needs(const Node& node, ColumnSet& needs) {
     case Node::Kind::kNot: collect_needs(*node.lhs, needs); break;
     case Node::Kind::kConst: break;
   }
-}
-
-bool int_compare(std::int64_t a, CmpOp op, std::int64_t b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
-}
-
-/// value_compare's numeric branch, unboxed: plain IEEE double compare
-/// (NaN on either side satisfies only kNe).
-bool real_compare(double a, CmpOp op, double b) {
-  switch (op) {
-    case CmpOp::kEq: return a == b;
-    case CmpOp::kNe: return a != b;
-    case CmpOp::kLt: return a < b;
-    case CmpOp::kLe: return a <= b;
-    case CmpOp::kGt: return a > b;
-    case CmpOp::kGe: return a >= b;
-  }
-  return false;
 }
 
 simd::Cmp to_simd(CmpOp op) {
@@ -343,32 +307,26 @@ simd::Cmp to_simd(CmpOp op) {
   return simd::Cmp::kEq;
 }
 
-ar::MaskOp to_mask_op(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return ar::MaskOp::kEq;
-    case CmpOp::kNe: return ar::MaskOp::kNe;
-    case CmpOp::kLt: return ar::MaskOp::kLt;
-    case CmpOp::kLe: return ar::MaskOp::kLe;
-    case CmpOp::kGt: return ar::MaskOp::kGt;
-    case CmpOp::kGe: return ar::MaskOp::kGe;
-  }
-  return ar::MaskOp::kEq;
-}
-
-/// One comparison node over its column.  `refine` is the column-level
-/// analogue of && short-circuiting: only records whose mask entry is
-/// still set are compared (and cleared on mismatch), so a selective
-/// left conjunct spares the right one most of its work.  Plain numeric
-/// columns go through the dispatched compare kernels; factor columns
-/// hoist the literal out of the loop and compare unboxed whenever the
-/// literal is numeric -- int levels against a real literal widen BOTH
-/// sides to double (exactly value_compare's rule; truncating the
-/// literal to int would part ways with the boxed path at literals like
-/// 2^53 + 1 that no double represents).
+/// One comparison node over its typed column: the one place the engine
+/// applies value_compare's rules to decoded data.  `refine` is the
+/// column-level analogue of && short-circuiting: only records whose
+/// mask entry is still set are compared (and cleared on mismatch), so a
+/// selective left conjunct spares the right one most of its work.
+///
+///   coded   the literal meets each level once through value_compare,
+///           then the per-record codes map through that truth table;
+///   i64     exact int64 compare against an int literal; against a real
+///           literal both sides widen to double -- value_compare's rule
+///           (truncating the literal would part ways with it at
+///           literals like 2^53 + 1 that no double represents);
+///   f64     IEEE compare (NaN satisfies only !=);
+///   numeric vs a string literal: a kind mismatch, only != holds.
 template <bool refine>
 void cmp_mask(const Node& node, const DecodedColumns& d,
               std::vector<char>& mask) {
+  using Kind = ar::Column::Kind;
   const std::size_t n = d.records;
+  const ar::Column& col = d[node.column];
   const CmpOp op = node.op;
   const Value& lit = node.literal;
   const simd::Kernels& kernels = simd::kernels();
@@ -381,63 +339,31 @@ void cmp_mask(const Node& node, const DecodedColumns& d,
       }
     }
   };
-  // Bookkeeping index columns hold non-negative int64-range values in
-  // size_t slots; compare them in the integer domain when the literal
-  // is an int, in the double domain (both sides widened) otherwise.
-  const auto index_column = [&](const std::vector<std::size_t>& col) {
-    static_assert(sizeof(std::size_t) == sizeof(std::int64_t),
-                  "index columns reinterpret as int64");
-    if (lit.is_int()) {
-      kernels.cmp_mask_i64(reinterpret_cast<const std::int64_t*>(col.data()),
-                           n, to_simd(op), lit.as_int(), mask.data(),
-                           refine);
-      return;
+  if (col.kind == Kind::kCoded) {
+    std::vector<char> truth(col.levels.size());
+    for (std::size_t k = 0; k < truth.size(); ++k) {
+      truth[k] = value_compare(col.levels[k], op, lit);
     }
-    const double b = lit.as_real();
-    apply([&](std::size_t i) {
-      return real_compare(
-          static_cast<double>(static_cast<std::int64_t>(col[i])), op, b);
-    });
-  };
-  switch (node.ref.col) {
-    case Col::kSeq: index_column(*d.seq); return;
-    case Col::kCell: index_column(*d.cell); return;
-    case Col::kRep: index_column(*d.rep); return;
-    case Col::kTs:
-      kernels.cmp_mask_f64(d.ts->data(), n, to_simd(op), lit.as_real(),
-                           mask.data(), refine);
-      return;
-    case Col::kFactor: {
-      const std::vector<Value>& col = *d.factors[node.ref.index];
-      if (lit.is_int()) {
-        const std::int64_t b = lit.as_int();
-        apply([&](std::size_t i) {
-          const Value& v = col[i];
-          if (v.is_int()) return int_compare(v.as_int(), op, b);
-          if (v.is_string()) return op == CmpOp::kNe;
-          return real_compare(v.as_real(), op, static_cast<double>(b));
-        });
-        return;
-      }
-      if (!lit.is_string()) {
-        const double b = lit.as_real();
-        apply([&](std::size_t i) {
-          const Value& v = col[i];
-          if (v.is_string()) return op == CmpOp::kNe;
-          return real_compare(
-              v.is_int() ? static_cast<double>(v.as_int()) : v.as_real(),
-              op, b);
-        });
-        return;
-      }
-      apply([&](std::size_t i) { return value_compare(col[i], op, lit); });
-      return;
-    }
-    case Col::kMetric:
-      kernels.cmp_mask_f64(d.metrics[node.ref.index]->data(), n,
-                           to_simd(op), lit.as_real(), mask.data(), refine);
-      return;
+    apply([&](std::size_t i) { return truth[col.codes[i]]; });
+    return;
   }
+  if (lit.is_string()) {
+    apply([&](std::size_t) { return op == CmpOp::kNe; });
+    return;
+  }
+  if (col.kind == Kind::kI64 && lit.is_int()) {
+    kernels.cmp_mask_i64(col.i64.data(), n, to_simd(op), lit.as_int(),
+                         mask.data(), refine);
+    return;
+  }
+  const double* values = col.f64.data();
+  std::vector<double> widened;
+  if (col.kind == Kind::kI64) {
+    widened.assign(col.i64.begin(), col.i64.end());
+    values = widened.data();
+  }
+  kernels.cmp_mask_f64(values, n, to_simd(op), lit.as_real(), mask.data(),
+                       refine);
 }
 
 void eval_mask(const Node& node, const DecodedColumns& d,
@@ -503,59 +429,12 @@ void eval_mask(const Node& node, const DecodedColumns& d,
   }
 }
 
-// --- encoded-domain predicate evaluation ------------------------------------
-
-/// Evaluates `node` against the encoded block image.  Returns false
-/// when any reachable comparison's column encoding defeats encoded
-/// evaluation (the caller falls back to decoded evaluation); on true,
-/// `mask` holds the same verdicts eval_mask would produce.
-bool eval_encoded_node(const Node& node, const ar::BlockView& view,
-                       std::size_t n_factors, std::vector<char>& mask) {
-  const std::size_t n = view.records();
-  switch (node.kind) {
-    case Node::Kind::kConst:
-      mask.assign(n, static_cast<char>(node.truth));
-      return true;
-    case Node::Kind::kCmp:
-      return view.eval_column_mask(zone_column(node.ref, n_factors),
-                                   to_mask_op(node.op), node.literal, mask);
-    case Node::Kind::kAnd: {
-      if (!eval_encoded_node(*node.lhs, view, n_factors, mask)) return false;
-      // Column-level short circuit: a dead mask stays dead.
-      if (simd::kernels().mask_count(mask.data(), n) == 0) return true;
-      std::vector<char> rhs;
-      if (!eval_encoded_node(*node.rhs, view, n_factors, rhs)) return false;
-      simd::kernels().mask_and(mask.data(), rhs.data(), n);
-      return true;
-    }
-    case Node::Kind::kOr: {
-      if (!eval_encoded_node(*node.lhs, view, n_factors, mask)) return false;
-      std::vector<char> rhs;
-      if (!eval_encoded_node(*node.rhs, view, n_factors, rhs)) return false;
-      simd::kernels().mask_or(mask.data(), rhs.data(), n);
-      return true;
-    }
-    case Node::Kind::kNot:
-      if (!eval_encoded_node(*node.lhs, view, n_factors, mask)) return false;
-      simd::kernels().mask_not(mask.data(), n);
-      return true;
-  }
-  return false;
-}
-
-/// The engine's MaskProgram: one compiled predicate tree, evaluable in
-/// both domains.  eval_encoded needs only the block's raw image --
-/// predicate columns are never decoded -- so a block the zone map left
-/// uncertain costs its encoded predicate columns plus the output
-/// columns of surviving records, nothing more.
+/// The engine's MaskProgram: one compiled predicate tree and the
+/// columns it reads.
 class CompiledPredicate final : public MaskProgram {
  public:
-  CompiledPredicate(NodePtr node, std::size_t n_factors,
-                    std::size_t n_metrics)
-      : node_(std::move(node)),
-        needs_(n_factors, n_metrics),
-        n_factors_(n_factors),
-        n_metrics_(n_metrics) {
+  CompiledPredicate(NodePtr node, std::size_t columns)
+      : node_(std::move(node)), needs_(columns) {
     collect_needs(*node_, needs_);
   }
 
@@ -563,31 +442,17 @@ class CompiledPredicate final : public MaskProgram {
 
   const ColumnSet& needs() const override { return needs_; }
 
-  bool eval_encoded(const std::string& raw, std::size_t records,
-                    std::vector<char>& mask) const override {
-    const ar::BlockView view(raw, n_factors_, n_metrics_);
-    if (view.records() != records) {
-      throw std::runtime_error(
-          "query: block decoded to " + std::to_string(view.records()) +
-          " records but the manifest declares " + std::to_string(records));
-    }
-    return eval_encoded_node(*node_, view, n_factors_, mask);
-  }
-
-  void eval_decoded(const DecodedColumns& columns,
-                    std::vector<char>& mask) const override {
+  void eval(const DecodedColumns& columns,
+            std::vector<char>& mask) const override {
     eval_mask(*node_, columns, mask);
   }
 
  private:
   NodePtr node_;
   ColumnSet needs_;
-  std::size_t n_factors_;
-  std::size_t n_metrics_;
 };
 
-
-// --- the shared plan: prune, then scan surviving blocks --------------------
+// --- the shared scan: compile, prune, scan surviving blocks, account ------
 
 struct BlockPlan {
   std::vector<std::size_t> blocks;  ///< surviving manifest block indices
@@ -604,10 +469,8 @@ BlockPlan plan_blocks(const ar::Manifest& manifest, const Node* predicate) {
     if (predicate) {
       // No zone maps (a PR-4-era bundle): every block might match, and
       // nothing is certain -- scan it all, predicate per record.
-      tri = have_zones
-                ? zone_eval(*predicate, manifest.zones[b],
-                            manifest.factor_names.size())
-                : Tri::kSome;
+      tri = have_zones ? zone_eval(*predicate, manifest.zones[b])
+                       : Tri::kSome;
     }
     if (tri == Tri::kNone) {
       ++plan.stats.blocks_pruned;
@@ -633,30 +496,58 @@ void note_scan_stats(const ScanStats& stats) {
   CAL_COUNT("query.records_matched", stats.records_matched);
 }
 
-/// Per surviving block: must the predicate still be evaluated?  (The
-/// zone map already decided certain blocks.)
-std::vector<char> uncertain_flags(const BlockPlan& plan,
-                                  bool have_predicate) {
-  std::vector<char> uncertain(plan.blocks.size(), 0);
-  if (have_predicate) {
-    for (std::size_t i = 0; i < plan.blocks.size(); ++i) {
-      uncertain[i] = !plan.certain[i];
-    }
-  }
-  return uncertain;
-}
+using ScanBody = std::function<void(std::size_t ordinal,
+                                   const DecodedColumns& columns,
+                                   const std::vector<char>* mask)>;
 
-std::unique_ptr<CompiledPredicate> compile_where(const ExprPtr& where,
-                                                 const Schema& schema,
-                                                 std::size_t n_factors,
-                                                 std::size_t n_metrics) {
-  if (!where) return nullptr;
-  NodePtr node = compile(*where, schema);
-  // A predicate folded to constant-true is no predicate at all.
-  if (node->kind == Node::Kind::kConst && node->truth) return nullptr;
-  return std::make_unique<CompiledPredicate>(std::move(node), n_factors,
-                                             n_metrics);
-}
+/// The scan steps every BundleQuery body shares: the predicate compiles
+/// against the schema (folded to constant-true, it is no predicate),
+/// zone maps prune the blocks, run() scans the survivors, and finish()
+/// folds the query's final ScanStats into telemetry.
+class Scan {
+ public:
+  Scan(const Schema& schema, const ExprPtr& where) {
+    if (where) {
+      NodePtr node = compile(*where, schema);
+      if (node->kind != Node::Kind::kConst || !node->truth) {
+        predicate_ = std::make_unique<CompiledPredicate>(std::move(node),
+                                                         schema.columns());
+      }
+    }
+    plan_ = plan_blocks(schema.manifest,
+                        predicate_ ? predicate_->node() : nullptr);
+  }
+
+  /// Surviving blocks: run() calls `body` with ordinals below this.
+  std::size_t blocks() const { return plan_.blocks.size(); }
+
+  /// Scans the surviving blocks for `out_needs`; `body` sees each
+  /// block's columns and its predicate mask (nullptr = all pass; a
+  /// block no record of which passes may never reach `body`).
+  void run(const BlockSource& source, const ColumnSet& out_needs,
+           core::WorkerPool* pool, const ScanBody& body) const {
+    // The zone map already decided certain blocks.
+    std::vector<char> uncertain(plan_.blocks.size(), 0);
+    for (std::size_t i = 0; predicate_ && i < uncertain.size(); ++i) {
+      uncertain[i] = !plan_.certain[i];
+    }
+    source.scan_filtered(plan_.blocks, out_needs, uncertain,
+                         predicate_.get(), pool, body);
+  }
+
+  ScanStats finish(std::uint64_t records_matched) const {
+    ScanStats stats = plan_.stats;
+    stats.records_matched = records_matched;
+    note_scan_stats(stats);
+    return stats;
+  }
+
+ private:
+  std::unique_ptr<CompiledPredicate> predicate_;
+  BlockPlan plan_;
+};
+
+// --- grouping: per-block partials, merged in plan order ---------------------
 
 /// Group accumulator map shared by aggregate() and group_samples():
 /// first-appearance keyed slots, deterministic per block.
@@ -675,7 +566,48 @@ struct GroupedPartial {
     groups.emplace_back();
     return groups.back();
   }
+
+  /// Adds every record of `d` the mask admits to its group's slot via
+  /// `add(acc, record)`; group keys box through Column::value_at.
+  template <typename Add>
+  void fold(const DecodedColumns& d, const std::vector<char>* mask,
+            const std::vector<std::size_t>& group_ids, Add&& add) {
+    std::vector<Value> key;
+    for (std::size_t i = 0; i < d.records; ++i) {
+      if (mask && !(*mask)[i]) continue;
+      key.clear();
+      key.reserve(group_ids.size());
+      for (const std::size_t id : group_ids) key.push_back(d[id].value_at(i));
+      add(slot(std::move(key)), i);
+    }
+  }
 };
+
+/// Merges per-block partials in block plan order -- the step that makes
+/// results bit-identical at any worker count -- through Acc::merge, and
+/// returns the groups sorted the way stats::group_metric documents:
+/// Value ordering, lexicographic across factors.
+template <typename Acc>
+std::vector<std::pair<std::vector<Value>, Acc>> merge_partials(
+    std::vector<GroupedPartial<Acc>>& slots) {
+  GroupedPartial<Acc> merged;
+  for (GroupedPartial<Acc>& partial : slots) {
+    for (std::size_t g = 0; g < partial.keys.size(); ++g) {
+      merged.slot(std::move(partial.keys[g])).merge(partial.groups[g]);
+    }
+  }
+  std::vector<std::size_t> order(merged.keys.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return merged.keys[a] < merged.keys[b];
+  });
+  std::vector<std::pair<std::vector<Value>, Acc>> out;
+  out.reserve(order.size());
+  for (const std::size_t g : order) {
+    out.emplace_back(std::move(merged.keys[g]), std::move(merged.groups[g]));
+  }
+  return out;
+}
 
 /// Welford + extrema over one metric within one group.
 struct MetricAcc {
@@ -702,13 +634,26 @@ struct MetricAcc {
 struct AggAcc {
   std::size_t rows = 0;
   std::vector<MetricAcc> metrics;  ///< one per distinct aggregate metric
+
+  void merge(const AggAcc& other) {
+    rows += other.rows;
+    metrics.resize(other.metrics.size());
+    for (std::size_t m = 0; m < metrics.size(); ++m) {
+      metrics[m].merge(other.metrics[m]);
+    }
+  }
 };
 
-/// Orders group keys the way stats::group_metric documents: Value
-/// ordering, lexicographic across factors.
-bool key_less(const std::vector<Value>& a, const std::vector<Value>& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
+struct SampleAcc {
+  std::vector<double> samples;
+  std::vector<std::size_t> sequence;
+
+  void merge(const SampleAcc& other) {
+    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
+    sequence.insert(sequence.end(), other.sequence.begin(),
+                    other.sequence.end());
+  }
+};
 
 }  // namespace
 
@@ -747,147 +692,88 @@ QueryResult BundleQuery::aggregate(const QuerySpec& spec,
                                    core::WorkerPool* pool) const {
   CAL_SPAN("query.aggregate");
   CAL_TIME_SCOPE("query.scan_seconds");
-  const ar::Manifest& manifest = reader_.manifest();
-  const std::size_t n_factors = manifest.factor_names.size();
-  const std::size_t n_metrics = manifest.metric_names.size();
-  const Schema schema{&manifest.factor_names, &manifest.metric_names};
-
+  const Schema schema{reader_.manifest()};
   if (spec.aggregates.empty()) {
     throw std::invalid_argument("query: aggregate() needs >= 1 aggregate");
   }
 
   // Resolve group factors and the distinct set of aggregate metrics.
-  std::vector<std::size_t> group_idx;
-  for (const std::string& name : spec.group_by) {
-    const auto ref = schema.find(name);
-    if (!ref || ref->col != Col::kFactor) {
-      throw std::out_of_range("query: group-by column '" + name +
-                              "' is not a factor of the bundle");
-    }
-    group_idx.push_back(ref->index);
-  }
-  std::vector<std::size_t> agg_metric_idx;   // distinct metric positions
-  std::vector<std::size_t> agg_to_metric;    // per aggregate: slot or npos
+  const std::vector<std::size_t> group_ids = schema.factors(spec.group_by);
+  std::vector<std::size_t> metric_ids;     // distinct metric columns
+  std::vector<std::size_t> agg_to_metric;  // per aggregate: slot or npos
   constexpr std::size_t kNoMetric = static_cast<std::size_t>(-1);
   for (const Aggregate& agg : spec.aggregates) {
     if (agg.kind == AggKind::kCount) {
       agg_to_metric.push_back(kNoMetric);
       continue;
     }
-    const auto ref = schema.find(agg.metric);
-    if (!ref || ref->col != Col::kMetric) {
+    const auto id = schema.find(agg.metric);
+    if (!id || !schema.is_metric(*id)) {
       throw std::out_of_range("query: aggregate metric '" + agg.metric +
                               "' is not a metric of the bundle");
     }
-    const auto found = std::find(agg_metric_idx.begin(), agg_metric_idx.end(),
-                                 ref->index);
-    if (found == agg_metric_idx.end()) {
-      agg_to_metric.push_back(agg_metric_idx.size());
-      agg_metric_idx.push_back(ref->index);
-    } else {
-      agg_to_metric.push_back(
-          static_cast<std::size_t>(found - agg_metric_idx.begin()));
-    }
+    const auto found = std::find(metric_ids.begin(), metric_ids.end(), *id);
+    agg_to_metric.push_back(
+        static_cast<std::size_t>(found - metric_ids.begin()));
+    if (found == metric_ids.end()) metric_ids.push_back(*id);
   }
 
-  const std::unique_ptr<CompiledPredicate> predicate =
-      compile_where(spec.where, schema, n_factors, n_metrics);
-  const BlockPlan plan =
-      plan_blocks(manifest, predicate ? predicate->node() : nullptr);
+  ColumnSet out_needs(schema.columns());
+  for (const std::size_t id : group_ids) out_needs.add(id);
+  for (const std::size_t id : metric_ids) out_needs.add(id);
 
-  ColumnSet out_needs(n_factors, n_metrics);
-  for (const std::size_t f : group_idx) out_needs.factors[f] = 1;
-  for (const std::size_t m : agg_metric_idx) out_needs.metrics[m] = 1;
-
+  const Scan scan(schema, spec.where);
   const simd::Kernels& kernels = simd::kernels();
-  using Partial = GroupedPartial<AggAcc>;
-  std::vector<Partial> slots(plan.blocks.size());
-  source().scan_filtered(
-      plan.blocks, std::vector<ColumnSet>(plan.blocks.size(), out_needs),
-      uncertain_flags(plan, predicate != nullptr), predicate.get(), pool,
-      [&](std::size_t ordinal, const DecodedColumns& d,
-          const std::vector<char>* mask) {
-        Partial& partial = slots[ordinal];
-        if (group_idx.empty()) {
-          // Ungrouped: fold each metric column in one batched kernel
-          // pass.  The fold keeps the per-record recurrence and the
-          // per-block partials still merge in plan order, so the
-          // result is byte-identical to the per-record loop.
-          const std::size_t matched =
-              mask ? kernels.mask_count(mask->data(), d.records)
-                   : d.records;
-          if (matched == 0) return;
-          AggAcc& acc = partial.slot({});
-          acc.metrics.resize(agg_metric_idx.size());
-          acc.rows = matched;
-          for (std::size_t m = 0; m < agg_metric_idx.size(); ++m) {
-            simd::WelfordBatch batch;
-            kernels.welford_fold(d.metrics[agg_metric_idx[m]]->data(),
-                                 mask ? mask->data() : nullptr, d.records,
-                                 &batch);
-            MetricAcc& out = acc.metrics[m];
-            out.sum = batch.sum;
-            out.min = batch.min;
-            out.max = batch.max;
-            out.welford =
-                stats::Welford::from_moments(batch.n, batch.mean, batch.m2);
-          }
-          return;
-        }
-        std::vector<Value> key;
-        for (std::size_t i = 0; i < d.records; ++i) {
-          if (mask && !(*mask)[i]) continue;
-          key.clear();
-          key.reserve(group_idx.size());
-          for (const std::size_t f : group_idx) {
-            key.push_back((*d.factors[f])[i]);
-          }
-          AggAcc& acc = partial.slot(std::move(key));
-          if (acc.metrics.size() != agg_metric_idx.size()) {
-            acc.metrics.resize(agg_metric_idx.size());
-          }
-          ++acc.rows;
-          for (std::size_t m = 0; m < agg_metric_idx.size(); ++m) {
-            acc.metrics[m].add((*d.metrics[agg_metric_idx[m]])[i]);
-          }
-        }
-      });
-
-  // Merge partials in block plan order -- the step that makes results
-  // bit-identical at any worker count.
-  GroupedPartial<AggAcc> merged;
-  for (Partial& partial : slots) {
-    for (std::size_t g = 0; g < partial.keys.size(); ++g) {
-      AggAcc& into = merged.slot(std::move(partial.keys[g]));
-      AggAcc& from = partial.groups[g];
-      if (into.metrics.size() != agg_metric_idx.size()) {
-        into.metrics.resize(agg_metric_idx.size());
-      }
-      into.rows += from.rows;
-      for (std::size_t m = 0; m < agg_metric_idx.size(); ++m) {
-        into.metrics[m].merge(from.metrics[m]);
-      }
-    }
-  }
+  std::vector<GroupedPartial<AggAcc>> slots(scan.blocks());
+  scan.run(source(), out_needs, pool,
+           [&](std::size_t ordinal, const DecodedColumns& d,
+               const std::vector<char>* mask) {
+             GroupedPartial<AggAcc>& partial = slots[ordinal];
+             if (group_ids.empty()) {
+               // Ungrouped: fold each metric column in one batched
+               // kernel pass.  The fold keeps the per-record recurrence
+               // and the per-block partials still merge in plan order,
+               // so the result is byte-identical to the per-record loop.
+               const std::size_t matched =
+                   mask ? kernels.mask_count(mask->data(), d.records)
+                        : d.records;
+               if (matched == 0) return;
+               AggAcc& acc = partial.slot({});
+               acc.metrics.resize(metric_ids.size());
+               acc.rows = matched;
+               for (std::size_t m = 0; m < metric_ids.size(); ++m) {
+                 simd::WelfordBatch batch;
+                 kernels.welford_fold(d[metric_ids[m]].f64.data(),
+                                      mask ? mask->data() : nullptr,
+                                      d.records, &batch);
+                 MetricAcc& out = acc.metrics[m];
+                 out.sum = batch.sum;
+                 out.min = batch.min;
+                 out.max = batch.max;
+                 out.welford = stats::Welford::from_moments(
+                     batch.n, batch.mean, batch.m2);
+               }
+               return;
+             }
+             partial.fold(d, mask, group_ids, [&](AggAcc& acc, std::size_t i) {
+               acc.metrics.resize(metric_ids.size());
+               ++acc.rows;
+               for (std::size_t m = 0; m < metric_ids.size(); ++m) {
+                 acc.metrics[m].add(d[metric_ids[m]].f64[i]);
+               }
+             });
+           });
 
   QueryResult result;
   result.group_names = spec.group_by;
   for (const Aggregate& agg : spec.aggregates) {
     result.value_names.push_back(agg.label());
   }
-  result.scan = plan.stats;
-
-  std::vector<std::size_t> order(merged.keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return key_less(merged.keys[a], merged.keys[b]);
-  });
-  result.rows.reserve(order.size());
-  for (const std::size_t g : order) {
+  std::uint64_t matched = 0;
+  for (auto& [key, acc] : merge_partials(slots)) {
     QueryResult::Row row;
-    row.key = std::move(merged.keys[g]);
-    const AggAcc& acc = merged.groups[g];
-    result.scan.records_matched += acc.rows;
+    row.key = std::move(key);
+    matched += acc.rows;
     for (std::size_t a = 0; a < spec.aggregates.size(); ++a) {
       const AggKind kind = spec.aggregates[a].kind;
       if (kind == AggKind::kCount) {
@@ -906,184 +792,130 @@ QueryResult BundleQuery::aggregate(const QuerySpec& spec,
     }
     result.rows.push_back(std::move(row));
   }
-  note_scan_stats(result.scan);
+  result.scan = scan.finish(matched);
   return result;
 }
 
 RawTable BundleQuery::materialize(const ExprPtr& where,
                                   const std::vector<std::string>& columns,
                                   core::WorkerPool* pool,
-                                  ScanStats* scan) const {
+                                  ScanStats* scan_stats) const {
   CAL_SPAN("query.materialize");
   CAL_TIME_SCOPE("query.scan_seconds");
   const ar::Manifest& manifest = reader_.manifest();
-  const std::size_t n_factors = manifest.factor_names.size();
-  const std::size_t n_metrics = manifest.metric_names.size();
-  const Schema schema{&manifest.factor_names, &manifest.metric_names};
+  const Schema schema{manifest};
 
-  // Resolve the projection: listed order, or the full schema.
-  std::vector<std::size_t> factor_sel, metric_sel;
+  // Resolve the projection: listed order, or the full schema.  A
+  // RawTable is factors-then-metrics, so the two lists stay apart.
+  std::vector<std::size_t> factor_ids, metric_ids;
   std::vector<std::string> factor_names, metric_names;
   if (columns.empty()) {
-    for (std::size_t f = 0; f < n_factors; ++f) factor_sel.push_back(f);
-    for (std::size_t m = 0; m < n_metrics; ++m) metric_sel.push_back(m);
+    for (std::size_t id = ar::kFirstFactorColumn; id < schema.columns();
+         ++id) {
+      (schema.is_factor(id) ? factor_ids : metric_ids).push_back(id);
+    }
     factor_names = manifest.factor_names;
     metric_names = manifest.metric_names;
   } else {
     for (const std::string& name : columns) {
-      const auto ref = schema.find(name);
-      if (!ref) {
+      const auto id = schema.find(name);
+      if (!id) {
         throw std::out_of_range("query: unknown column '" + name +
                                 "' in projection");
       }
-      if (ref->col == Col::kFactor) {
-        factor_sel.push_back(ref->index);
-        factor_names.push_back(name);
-      } else {
-        metric_sel.push_back(ref->index);
-        metric_names.push_back(name);
-      }
+      (schema.is_factor(*id) ? factor_ids : metric_ids).push_back(*id);
+      (schema.is_factor(*id) ? factor_names : metric_names).push_back(name);
     }
   }
 
-  const std::unique_ptr<CompiledPredicate> predicate =
-      compile_where(where, schema, n_factors, n_metrics);
-  const BlockPlan plan =
-      plan_blocks(manifest, predicate ? predicate->node() : nullptr);
+  ColumnSet out_needs(schema.columns());
+  out_needs.add(ar::kSequenceColumn)
+      .add(ar::kCellColumn)
+      .add(ar::kReplicateColumn)
+      .add(ar::kTimestampColumn);
+  for (const std::size_t id : factor_ids) out_needs.add(id);
+  for (const std::size_t id : metric_ids) out_needs.add(id);
 
-  ColumnSet out_needs(n_factors, n_metrics);
-  out_needs.seq = out_needs.cell = out_needs.rep = out_needs.ts = true;
-  for (const std::size_t f : factor_sel) out_needs.factors[f] = 1;
-  for (const std::size_t m : metric_sel) out_needs.metrics[m] = 1;
-
-  std::vector<std::vector<RawRecord>> slots(plan.blocks.size());
-  std::uint64_t matched = 0;
-  source().scan_filtered(
-      plan.blocks, std::vector<ColumnSet>(plan.blocks.size(), out_needs),
-      uncertain_flags(plan, predicate != nullptr), predicate.get(), pool,
-      [&](std::size_t ordinal, const DecodedColumns& d,
-          const std::vector<char>* mask) {
-        std::vector<RawRecord>& out = slots[ordinal];
-        for (std::size_t i = 0; i < d.records; ++i) {
-          if (mask && !(*mask)[i]) continue;
-          RawRecord record;
-          record.sequence = (*d.seq)[i];
-          record.cell_index = (*d.cell)[i];
-          record.replicate = (*d.rep)[i];
-          record.timestamp_s = (*d.ts)[i];
-          record.factors.reserve(factor_sel.size());
-          for (const std::size_t f : factor_sel) {
-            record.factors.push_back((*d.factors[f])[i]);
-          }
-          record.metrics.reserve(metric_sel.size());
-          for (const std::size_t m : metric_sel) {
-            record.metrics.push_back((*d.metrics[m])[i]);
-          }
-          out.push_back(std::move(record));
-        }
-      });
+  const Scan scan(schema, where);
+  std::vector<std::vector<RawRecord>> slots(scan.blocks());
+  scan.run(source(), out_needs, pool,
+           [&](std::size_t ordinal, const DecodedColumns& d,
+               const std::vector<char>* mask) {
+             std::vector<RawRecord>& out = slots[ordinal];
+             const auto index_at = [&](std::size_t id, std::size_t i) {
+               return static_cast<std::size_t>(d[id].i64[i]);
+             };
+             for (std::size_t i = 0; i < d.records; ++i) {
+               if (mask && !(*mask)[i]) continue;
+               RawRecord record;
+               record.sequence = index_at(ar::kSequenceColumn, i);
+               record.cell_index = index_at(ar::kCellColumn, i);
+               record.replicate = index_at(ar::kReplicateColumn, i);
+               record.timestamp_s = d[ar::kTimestampColumn].f64[i];
+               record.factors.reserve(factor_ids.size());
+               for (const std::size_t id : factor_ids) {
+                 record.factors.push_back(d[id].value_at(i));
+               }
+               record.metrics.reserve(metric_ids.size());
+               for (const std::size_t id : metric_ids) {
+                 record.metrics.push_back(d[id].f64[i]);
+               }
+               out.push_back(std::move(record));
+             }
+           });
 
   RawTable table(std::move(factor_names), std::move(metric_names));
+  std::uint64_t matched = 0;
   for (std::vector<RawRecord>& block : slots) {
     matched += block.size();
     table.append_batch(std::move(block));
   }
-  ScanStats final_stats = plan.stats;
-  final_stats.records_matched = matched;
-  note_scan_stats(final_stats);
-  if (scan) *scan = final_stats;
+  const ScanStats stats = scan.finish(matched);
+  if (scan_stats) *scan_stats = stats;
   return table;
 }
 
 std::vector<stats::Group> BundleQuery::group_samples(
     const ExprPtr& where, const std::vector<std::string>& group_by,
     const std::string& metric, core::WorkerPool* pool,
-    ScanStats* scan) const {
+    ScanStats* scan_stats) const {
   CAL_SPAN("query.group_samples");
   CAL_TIME_SCOPE("query.scan_seconds");
-  const ar::Manifest& manifest = reader_.manifest();
-  const std::size_t n_factors = manifest.factor_names.size();
-  const std::size_t n_metrics = manifest.metric_names.size();
-  const Schema schema{&manifest.factor_names, &manifest.metric_names};
-
-  std::vector<std::size_t> group_idx;
-  for (const std::string& name : group_by) {
-    const auto ref = schema.find(name);
-    if (!ref || ref->col != Col::kFactor) {
-      throw std::out_of_range("query: group-by column '" + name +
-                              "' is not a factor of the bundle");
-    }
-    group_idx.push_back(ref->index);
-  }
-  const auto metric_ref = schema.find(metric);
-  if (!metric_ref || metric_ref->col != Col::kMetric) {
+  const Schema schema{reader_.manifest()};
+  const std::vector<std::size_t> group_ids = schema.factors(group_by);
+  const auto metric_id = schema.find(metric);
+  if (!metric_id || !schema.is_metric(*metric_id)) {
     throw std::out_of_range("query: '" + metric +
                             "' is not a metric of the bundle");
   }
 
-  const std::unique_ptr<CompiledPredicate> predicate =
-      compile_where(where, schema, n_factors, n_metrics);
-  const BlockPlan plan =
-      plan_blocks(manifest, predicate ? predicate->node() : nullptr);
+  ColumnSet out_needs(schema.columns());
+  out_needs.add(ar::kSequenceColumn).add(*metric_id);
+  for (const std::size_t id : group_ids) out_needs.add(id);
 
-  ColumnSet out_needs(n_factors, n_metrics);
-  out_needs.seq = true;
-  for (const std::size_t f : group_idx) out_needs.factors[f] = 1;
-  out_needs.metrics[metric_ref->index] = 1;
-
-  struct SampleAcc {
-    std::vector<double> samples;
-    std::vector<std::size_t> sequence;
-  };
-  using Partial = GroupedPartial<SampleAcc>;
-  std::vector<Partial> slots(plan.blocks.size());
-  source().scan_filtered(
-      plan.blocks, std::vector<ColumnSet>(plan.blocks.size(), out_needs),
-      uncertain_flags(plan, predicate != nullptr), predicate.get(), pool,
-      [&](std::size_t ordinal, const DecodedColumns& d,
-          const std::vector<char>* mask) {
-        Partial& partial = slots[ordinal];
-        std::vector<Value> key;
-        for (std::size_t i = 0; i < d.records; ++i) {
-          if (mask && !(*mask)[i]) continue;
-          key.clear();
-          key.reserve(group_idx.size());
-          for (const std::size_t f : group_idx) {
-            key.push_back((*d.factors[f])[i]);
-          }
-          SampleAcc& acc = partial.slot(std::move(key));
-          acc.samples.push_back((*d.metrics[metric_ref->index])[i]);
-          acc.sequence.push_back((*d.seq)[i]);
-        }
-      });
-
-  GroupedPartial<SampleAcc> merged;
-  std::uint64_t matched = 0;
-  for (Partial& partial : slots) {
-    for (std::size_t g = 0; g < partial.keys.size(); ++g) {
-      SampleAcc& into = merged.slot(std::move(partial.keys[g]));
-      SampleAcc& from = partial.groups[g];
-      matched += from.samples.size();
-      into.samples.insert(into.samples.end(), from.samples.begin(),
-                          from.samples.end());
-      into.sequence.insert(into.sequence.end(), from.sequence.begin(),
-                           from.sequence.end());
-    }
-  }
-
-  std::vector<std::size_t> order(merged.keys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return key_less(merged.keys[a], merged.keys[b]);
-  });
+  const Scan scan(schema, where);
+  std::vector<GroupedPartial<SampleAcc>> slots(scan.blocks());
+  scan.run(source(), out_needs, pool,
+           [&](std::size_t ordinal, const DecodedColumns& d,
+               const std::vector<char>* mask) {
+             const ar::Column& samples = d[*metric_id];
+             const ar::Column& sequence = d[ar::kSequenceColumn];
+             slots[ordinal].fold(
+                 d, mask, group_ids, [&](SampleAcc& acc, std::size_t i) {
+                   acc.samples.push_back(samples.f64[i]);
+                   acc.sequence.push_back(
+                       static_cast<std::size_t>(sequence.i64[i]));
+                 });
+           });
 
   std::vector<stats::Group> out;
-  out.reserve(order.size());
-  for (const std::size_t g : order) {
+  std::uint64_t matched = 0;
+  for (auto& [key, acc] : merge_partials(slots)) {
     stats::Group group;
-    group.key = std::move(merged.keys[g]);
-    group.samples = std::move(merged.groups[g].samples);
-    group.sequence = std::move(merged.groups[g].sequence);
+    group.key = std::move(key);
+    group.samples = std::move(acc.samples);
+    group.sequence = std::move(acc.sequence);
+    matched += group.samples.size();
     // Blocks are plan-ordered, so concatenation already runs in sequence
     // order; re-sort defensively if an unusual bundle violates that.
     if (!std::is_sorted(group.sequence.begin(), group.sequence.end())) {
@@ -1104,10 +936,8 @@ std::vector<stats::Group> BundleQuery::group_samples(
     }
     out.push_back(std::move(group));
   }
-  ScanStats final_stats = plan.stats;
-  final_stats.records_matched = matched;
-  note_scan_stats(final_stats);
-  if (scan) *scan = final_stats;
+  const ScanStats stats = scan.finish(matched);
+  if (scan_stats) *scan_stats = stats;
   return out;
 }
 

@@ -4,22 +4,6 @@
 
 namespace cal::serve {
 
-std::size_t column_bytes(const std::vector<std::size_t>& column) {
-  return column.size() * sizeof(std::size_t);
-}
-
-std::size_t column_bytes(const std::vector<double>& column) {
-  return column.size() * sizeof(double);
-}
-
-std::size_t column_bytes(const std::vector<Value>& column) {
-  std::size_t bytes = column.size() * sizeof(Value);
-  for (const Value& v : column) {
-    if (v.is_string()) bytes += v.as_string().size();
-  }
-  return bytes;
-}
-
 BlockCache::BlockCache(Options options) : options_(options) {}
 
 std::shared_ptr<const CachedColumn> BlockCache::get(const Key& key) {
@@ -82,8 +66,10 @@ std::shared_ptr<const CachedColumn> BlockCache::wait(const Key& key) {
   return entry->column;
 }
 
-void BlockCache::insert(const Key& key, CachedColumn column) {
+void BlockCache::insert(const Key& key,
+                        std::shared_ptr<const CachedColumn> column) {
   if (!options_.enabled) return;
+  const std::size_t bytes = column->bytes();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end() && !it->second->pending) {
@@ -93,8 +79,8 @@ void BlockCache::insert(const Key& key, CachedColumn column) {
     it = entries_.emplace(key, std::make_shared<Entry>()).first;
   }
   const std::shared_ptr<Entry> entry = it->second;
-  const std::size_t bytes = column.bytes;
-  entry->column = std::make_shared<const CachedColumn>(std::move(column));
+  entry->column = std::move(column);
+  entry->bytes = bytes;
   entry->pending = false;
   ++stats_.inserts;
   CAL_COUNT("serve.cache.inserts", 1);
@@ -156,7 +142,7 @@ void BlockCache::shrink_locked() {
     const Key victim = lru_.back();
     const auto it = entries_.find(victim);
     if (it != entries_.end() && it->second->retained) {
-      stats_.bytes -= it->second->column->bytes;
+      stats_.bytes -= it->second->bytes;
       --stats_.entries;
       ++stats_.evictions;
       CAL_COUNT("serve.cache.evictions", 1);

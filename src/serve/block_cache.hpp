@@ -41,25 +41,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/value.hpp"
+#include "io/archive/column_codec.hpp"
 
 namespace cal::serve {
 
-/// One cached decoded column: exactly one of the three vectors is set,
-/// matching the column kind (index columns, real columns, factor
-/// values).  `bytes` is the accounting size used against the budget.
-struct CachedColumn {
-  std::shared_ptr<const std::vector<std::size_t>> idx;
-  std::shared_ptr<const std::vector<double>> real;
-  std::shared_ptr<const std::vector<Value>> values;
-  std::size_t bytes = 0;
-};
-
-/// Approximate resident size of a decoded column (vector payload plus
-/// string storage of string-valued factors).
-std::size_t column_bytes(const std::vector<std::size_t>& column);
-std::size_t column_bytes(const std::vector<double>& column);
-std::size_t column_bytes(const std::vector<Value>& column);
+/// One cached decoded column: the typed column scans consume, shared
+/// as is.  Its bytes() is the accounting size charged to the budget.
+using CachedColumn = io::archive::Column;
 
 class BlockCache {
  public:
@@ -127,7 +115,7 @@ class BlockCache {
   /// then dropped; later arrivals miss and retry), and LRU entries are
   /// evicted until the budget holds.  Insert of a non-owned key is
   /// allowed (plain put) and follows the same admission rules.
-  void insert(const Key& key, CachedColumn column);
+  void insert(const Key& key, std::shared_ptr<const CachedColumn> column);
 
   /// Resolves an owned key with no value after a failed decode: waiters
   /// wake and retry.  No-op when the key is resolved or absent -- an
@@ -144,6 +132,7 @@ class BlockCache {
   struct Entry {
     bool pending = true;
     std::shared_ptr<const CachedColumn> column;     ///< resolved value
+    std::size_t bytes = 0;                           ///< column->bytes()
     std::list<Key>::iterator lru;                    ///< valid iff retained
     bool retained = false;
   };

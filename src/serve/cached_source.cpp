@@ -15,77 +15,13 @@ namespace {
 using query::ColumnSet;
 using query::DecodedColumns;
 
-/// Wires one cached column into its slot of a DecodedColumns by unified
-/// column id (0 seq, 1 cell, 2 rep, 3 ts, 4+f factor, 4+nf+m metric).
-void place_column(DecodedColumns* d, std::uint32_t id,
-                  const CachedColumn& col, std::size_t n_factors) {
-  switch (id) {
-    case 0: d->seq = col.idx; return;
-    case 1: d->cell = col.idx; return;
-    case 2: d->rep = col.idx; return;
-    case 3: d->ts = col.real; return;
-    default: break;
-  }
-  if (id < 4 + n_factors) {
-    d->factors[id - 4] = col.values;
-  } else {
-    d->metrics[id - 4 - n_factors] = col.real;
-  }
-}
-
-/// Lifts one decoded column out of a DecodedColumns into cacheable form,
-/// with its byte accounting.
-CachedColumn take_column(const DecodedColumns& d, std::uint32_t id,
-                         std::size_t n_factors) {
-  CachedColumn col;
-  switch (id) {
-    case 0: col.idx = d.seq; break;
-    case 1: col.idx = d.cell; break;
-    case 2: col.idx = d.rep; break;
-    case 3: col.real = d.ts; break;
-    default:
-      if (id < 4 + n_factors) {
-        col.values = d.factors[id - 4];
-      } else {
-        col.real = d.metrics[id - 4 - n_factors];
-      }
-      break;
-  }
-  if (col.idx) col.bytes = column_bytes(*col.idx);
-  if (col.real) col.bytes = column_bytes(*col.real);
-  if (col.values) col.bytes = column_bytes(*col.values);
-  return col;
-}
-
-/// A ColumnSet selecting exactly `ids`.
-ColumnSet set_of(const std::vector<std::uint32_t>& ids, std::size_t n_factors,
-                 std::size_t n_metrics) {
-  ColumnSet set(n_factors, n_metrics);
-  for (const std::uint32_t id : ids) {
-    switch (id) {
-      case 0: set.seq = true; break;
-      case 1: set.cell = true; break;
-      case 2: set.rep = true; break;
-      case 3: set.ts = true; break;
-      default:
-        if (id < 4 + n_factors) {
-          set.factors[id - 4] = 1;
-        } else {
-          set.metrics[id - 4 - n_factors] = 1;
-        }
-        break;
-    }
-  }
-  return set;
-}
-
 /// Per-block bookkeeping of one scan.
 struct BlockWork {
   std::size_t ordinal = 0;  ///< position within the caller's block list
   std::size_t block = 0;    ///< manifest block index
-  std::vector<std::uint32_t> ids;  ///< every column the scan needs
-  /// Resolved columns, parallel to `ids` (null until known).
-  std::vector<std::shared_ptr<const CachedColumn>> cols;
+  /// The columns handed to the body: cache hits at claim time, the rest
+  /// as this scan (or another) resolves them.
+  DecodedColumns columns;
   std::vector<std::uint32_t> owned;    ///< ids this scan must decode
   std::vector<std::uint32_t> pending;  ///< ids another scan is decoding
 };
@@ -104,16 +40,10 @@ void CachingBlockSource::scan(
   const io::archive::Manifest& manifest = reader_.manifest();
   const std::size_t n_factors = manifest.factor_names.size();
   const std::size_t n_metrics = manifest.metric_names.size();
-
-  const auto assemble = [&](const BlockWork& w) {
-    DecodedColumns d;
-    d.records = manifest.blocks[w.block].records;
-    d.factors.resize(n_factors);
-    d.metrics.resize(n_metrics);
-    for (std::size_t i = 0; i < w.ids.size(); ++i) {
-      place_column(&d, w.ids[i], *w.cols[i], n_factors);
-    }
-    return d;
+  const std::size_t n_columns =
+      io::archive::block_columns(n_factors, n_metrics);
+  const auto key_of = [&](std::size_t block, std::uint32_t id) {
+    return BlockCache::Key{bundle_, static_cast<std::uint32_t>(block), id};
   };
 
   // Phase A: claim every (block, column) against the cache.  Sequential
@@ -128,16 +58,16 @@ void CachingBlockSource::scan(
     BlockWork& w = work[i];
     w.ordinal = i;
     w.block = blocks[i];
-    w.ids = needs[i].column_ids();
-    w.cols.resize(w.ids.size());
-    for (std::size_t c = 0; c < w.ids.size(); ++c) {
-      const BlockCache::Key key{bundle_,
-                                static_cast<std::uint32_t>(w.block),
-                                w.ids[c]};
+    w.columns.records = manifest.blocks[w.block].records;
+    w.columns.columns.resize(n_columns);
+    for (const std::uint32_t id : needs[i].column_ids()) {
       bool owner = false;
-      w.cols[c] = cache_->get_or_begin(key, &owner);
-      if (w.cols[c]) continue;
-      (owner ? w.owned : w.pending).push_back(w.ids[c]);
+      auto col = cache_->get_or_begin(key_of(w.block, id), &owner);
+      if (col) {
+        w.columns.columns[id] = std::move(col);
+      } else {
+        (owner ? w.owned : w.pending).push_back(id);
+      }
     }
     if (!w.owned.empty()) {
       decoding.push_back(i);
@@ -161,8 +91,7 @@ void CachingBlockSource::scan(
       const BlockWork& w = work[decoding[i]];
       for (std::size_t k = 0; k < w.owned.size(); ++k) {
         if (!resolved[i][k]) {
-          cache_->abandon({bundle_, static_cast<std::uint32_t>(w.block),
-                           w.owned[k]});
+          cache_->abandon(key_of(w.block, w.owned[k]));
         }
       }
     }
@@ -174,8 +103,7 @@ void CachingBlockSource::scan(
   // ownership and decodes just that column sequentially.
   const auto finish_pending = [&](BlockWork& w) {
     for (const std::uint32_t id : w.pending) {
-      const BlockCache::Key key{bundle_,
-                                static_cast<std::uint32_t>(w.block), id};
+      const BlockCache::Key key = key_of(w.block, id);
       std::shared_ptr<const CachedColumn> col;
       {
         CAL_SPAN("serve.cache.wait");
@@ -196,20 +124,18 @@ void CachingBlockSource::scan(
               [&](std::size_t, std::size_t, const std::string& raw) {
                 image = raw;
               });
-          const DecodedColumns d = query::decode_columns(
-              image, set_of({id}, n_factors, n_metrics),
-              manifest.blocks[w.block].records, n_factors, n_metrics);
-          col = std::make_shared<const CachedColumn>(
-              take_column(d, id, n_factors));
-          cache_->insert(key, *col);
+          DecodedColumns fresh;
+          query::decode_columns(image, ColumnSet(n_columns).add(id),
+                                w.columns.records, n_factors, n_metrics,
+                                &fresh);
+          col = fresh.columns[id];
+          cache_->insert(key, col);
         } catch (...) {
           cache_->abandon(key);
           throw;
         }
       }
-      for (std::size_t c = 0; c < w.ids.size(); ++c) {
-        if (w.ids[c] == id) w.cols[c] = col;
-      }
+      w.columns.columns[id] = std::move(col);
     }
   };
 
@@ -224,25 +150,21 @@ void CachingBlockSource::scan(
           shard_blocks, pool,
           [&](std::size_t i, std::size_t block, const std::string& raw) {
             BlockWork& w = work[decoding[i]];
-            const DecodedColumns d = query::decode_columns(
-                raw, set_of(w.owned, n_factors, n_metrics),
-                manifest.blocks[block].records, n_factors, n_metrics);
+            ColumnSet owned(n_columns);
+            for (const std::uint32_t id : w.owned) owned.add(id);
+            DecodedColumns fresh;
+            query::decode_columns(raw, owned, w.columns.records, n_factors,
+                                  n_metrics, &fresh);
             CAL_FAULT_POINT("serve.cache_insert");
             for (std::size_t k = 0; k < w.owned.size(); ++k) {
-              CachedColumn col = take_column(d, w.owned[k], n_factors);
-              auto shared =
-                  std::make_shared<const CachedColumn>(std::move(col));
-              cache_->insert({bundle_, static_cast<std::uint32_t>(block),
-                              w.owned[k]},
-                             *shared);
+              const std::uint32_t id = w.owned[k];
+              cache_->insert(key_of(block, id), fresh.columns[id]);
               resolved[i][k] = 1;
-              for (std::size_t c = 0; c < w.ids.size(); ++c) {
-                if (w.ids[c] == w.owned[k]) w.cols[c] = shared;
-              }
+              w.columns.columns[id] = std::move(fresh.columns[id]);
             }
             // Blocks also waiting on another scan's columns defer to
             // phase C; everything else serves right here.
-            if (w.pending.empty()) body(w.ordinal, assemble(w));
+            if (w.pending.empty()) body(w.ordinal, w.columns);
           });
     }
 
@@ -251,11 +173,11 @@ void CachingBlockSource::scan(
     if (pool != nullptr && ready.size() > 1) {
       pool->run_indexed(ready.size(), [&](std::size_t, std::size_t i) {
         const BlockWork& w = work[ready[i]];
-        body(w.ordinal, assemble(w));
+        body(w.ordinal, w.columns);
       });
     } else {
       for (const std::size_t i : ready) {
-        body(work[i].ordinal, assemble(work[i]));
+        body(work[i].ordinal, work[i].columns);
       }
     }
 
@@ -265,12 +187,12 @@ void CachingBlockSource::scan(
     // and decoded sequentially -- the slow path of a rare failure.
     for (const std::size_t i : waiting) {
       finish_pending(work[i]);
-      body(work[i].ordinal, assemble(work[i]));
+      body(work[i].ordinal, work[i].columns);
     }
     for (const std::size_t i : decoding) {
       if (work[i].pending.empty()) continue;
       finish_pending(work[i]);
-      body(work[i].ordinal, assemble(work[i]));
+      body(work[i].ordinal, work[i].columns);
     }
   } catch (...) {
     abandon_unresolved();

@@ -109,5 +109,14 @@ TEST(Value, OrderingNumbersBeforeStrings) {
   EXPECT_LT(Value("a"), Value("b"));
 }
 
+TEST(Value, IntOrderingIsExactPastTwoTo53) {
+  // 2^53 and 2^53 + 1 widen to the same double but are distinct ints
+  // (operator== tells them apart), so ordering must too.
+  const Value a(std::int64_t{1} << 53), b((std::int64_t{1} << 53) + 1);
+  EXPECT_NE(a, b);
+  EXPECT_LT(a, b);
+  EXPECT_FALSE(b < a);
+}
+
 }  // namespace
 }  // namespace cal

@@ -228,15 +228,52 @@ TEST(ArchiveColumnCodec, ProjectionMatchesFullDecode) {
   const std::vector<RawRecord> records = sample_records();
   const std::string raw =
       ar::encode_block(records.data(), records.size(), 4, 2);
-  const std::vector<Value> ops = ar::decode_factor_column(raw, 4, 2, 1);
-  const std::vector<double> aux = ar::decode_metric_column(raw, 4, 2, 1);
-  ASSERT_EQ(ops.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(ops[i], records[i].factors[1]);
-    EXPECT_EQ(aux[i], records[i].metrics[1]);
+  const ar::BlockView view(raw, 4, 2);
+  using Kind = ar::Column::Kind;
+  // Each column decodes to its typed payload: index columns and the
+  // all-int factor as i64, timestamp / all-real factor / metrics as f64,
+  // string and mixed factors as codes into levels.
+  const Kind kinds[] = {Kind::kI64,   Kind::kI64, Kind::kI64, Kind::kF64,
+                        Kind::kI64,   Kind::kCoded, Kind::kF64, Kind::kCoded,
+                        Kind::kF64,   Kind::kF64};
+  for (std::size_t id = 0; id < 10; ++id) {
+    const ar::Column col = view.column(id);
+    EXPECT_EQ(col.kind, kinds[id]) << "column " << id;
+    ASSERT_EQ(col.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const RawRecord& r = records[i];
+      const Value expected =
+          id == 0   ? Value(r.sequence)
+          : id == 1 ? Value(r.cell_index)
+          : id == 2 ? Value(r.replicate)
+          : id == 3 ? Value(r.timestamp_s)
+          : id < 8  ? r.factors[id - 4]
+                    : Value(r.metrics[id - 8]);
+      const Value got = col.value_at(i);
+      EXPECT_EQ(got.kind(), expected.kind()) << "column " << id;
+      EXPECT_EQ(got, expected) << "column " << id << " record " << i;
+    }
   }
-  EXPECT_THROW(ar::decode_factor_column(raw, 4, 2, 4), std::out_of_range);
-  EXPECT_THROW(ar::decode_metric_column(raw, 4, 2, 2), std::out_of_range);
+  // The string factor's levels are the block dictionary: one per
+  // distinct string, first-appearance order.
+  const ar::Column op = view.column(5);
+  EXPECT_EQ(op.levels, (std::vector<Value>{Value("send"), Value("pingpong")}));
+  EXPECT_THROW(view.column(10), std::out_of_range);
+}
+
+TEST(ArchiveColumnCodec, RecordCountBeyondPayloadIsRefusedBeforeAllocating) {
+  // A header claiming 10^9 records over one-byte columns: decoding must
+  // throw, not allocate gigabytes for the claimed count first.
+  std::string raw;
+  ar::put_varint(raw, 1000000000);
+  ar::put_varint(raw, 0);  // factors
+  ar::put_varint(raw, 0);  // metrics
+  for (int c = 0; c < 4; ++c) ar::put_varint(raw, 1);
+  raw.append(4, '\0');
+  const ar::BlockView view(raw, 0, 0);
+  for (std::size_t id = 0; id < 4; ++id) {
+    EXPECT_THROW(view.column(id), std::runtime_error) << "column " << id;
+  }
 }
 
 // --- manifest ---------------------------------------------------------------

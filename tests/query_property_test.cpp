@@ -1,10 +1,13 @@
-// Randomized query-engine harness (the ISSUE-5 acceptance property):
-// for random plans, random predicates, and worker counts {1, 2, 8}, a
-// BundleQuery aggregate over the bbx bundle must be value-identical to
-// the materialize-then-stats::group_metric path -- and byte-identical to
-// itself (aggregate CSV) at every worker count.  A second harness drives
-// selective zone-map predicates and asserts real pruning with zero
-// result divergence against the zone-less (PR-4-era) manifest.
+// Randomized query-engine harness: for random plans (including a
+// mixed-kind factor), random predicates (including cross-kind and
+// int/real boundary literals), every block source -- direct, and cached
+// under an evicting budget and with retention off -- every SIMD level
+// and worker counts {1, 2, 8}, BundleQuery's aggregate, materialize and
+// group_samples must match a reference built from the materialized
+// records with value_compare filtering and std::map grouping, and the
+// aggregate CSV must be byte-identical across all of them.  A second
+// harness drives selective zone-map predicates and asserts real pruning
+// with zero result divergence against the zone-less (version-1) manifest.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +16,11 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -23,6 +28,8 @@
 #include "io/archive/bbx_reader.hpp"
 #include "io/archive/bbx_writer.hpp"
 #include "query/engine.hpp"
+#include "serve/block_cache.hpp"
+#include "serve/cached_source.hpp"
 #include "simd/dispatch.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/group.hpp"
@@ -32,11 +39,15 @@ namespace {
 
 namespace ar = io::archive;
 
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+
 Plan random_plan(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> reps(3, 10);
   std::uniform_int_distribution<int> sizes(2, 4);
   DesignBuilder builder(rng());
-  std::vector<Value> size_levels;
+  // Sizes straddle the int64 -> double boundary: 2^53 and 2^53 + 1
+  // widen to the same double.
+  std::vector<Value> size_levels = {Value(kTwo53), Value(kTwo53 + 1)};
   for (int i = 0, n = sizes(rng); i < n; ++i) {
     size_levels.push_back(Value(std::int64_t{256} << i));
   }
@@ -44,6 +55,10 @@ Plan random_plan(std::mt19937_64& rng) {
   builder.add(Factor::levels("op", {Value("load"), Value("store"),
                                     Value("copy")}));
   builder.add(Factor::log_uniform_real("intensity", 0.5, 2.0));
+  // Ints and strings in the same blocks: a mixed-kind column.
+  builder.add(Factor::levels("mix", {Value(std::int64_t{1}),
+                                     Value(std::int64_t{7}), Value("x"),
+                                     Value("y")}));
   return builder.replications(static_cast<std::size_t>(reps(rng)))
       .randomize(true)
       .build();
@@ -63,14 +78,21 @@ Engine make_engine() {
   return Engine({"time_us", "inv"}, options);
 }
 
-/// A random predicate drawing on every column class the grammar knows.
+/// A random predicate drawing on every column class the grammar knows,
+/// with cross-kind literals (string vs numeric columns, numeric vs the
+/// string factor) and int-factor-vs-real-literal boundaries.
 query::ExprPtr random_predicate(std::mt19937_64& rng, const Plan& plan) {
-  std::uniform_int_distribution<int> pick(0, 5);
+  std::uniform_int_distribution<int> pick(0, 12);
   std::uniform_int_distribution<int> coin(0, 1);
+  const query::CmpOp ops[] = {query::CmpOp::kEq, query::CmpOp::kNe,
+                              query::CmpOp::kLt, query::CmpOp::kLe,
+                              query::CmpOp::kGt, query::CmpOp::kGe};
+  const auto any_op = [&] { return ops[rng() % 6]; };
   const auto leaf = [&]() -> query::ExprPtr {
     using query::CmpOp;
     using query::ColumnKind;
     using query::Expr;
+    const query::ColumnRef size{ColumnKind::kNamed, "size"};
     switch (pick(rng)) {
       case 0:
         return Expr::cmp({ColumnKind::kSequence, "sequence"},
@@ -78,8 +100,7 @@ query::ExprPtr random_predicate(std::mt19937_64& rng, const Plan& plan) {
                          Value(static_cast<std::int64_t>(
                              rng() % (plan.size() + 1))));
       case 1:
-        return Expr::cmp({ColumnKind::kNamed, "size"},
-                         coin(rng) ? CmpOp::kLe : CmpOp::kEq,
+        return Expr::cmp(size, coin(rng) ? CmpOp::kLe : CmpOp::kEq,
                          Value(std::int64_t{256} << (rng() % 4)));
       case 2:
         return Expr::cmp({ColumnKind::kNamed, "op"},
@@ -92,9 +113,34 @@ query::ExprPtr random_predicate(std::mt19937_64& rng, const Plan& plan) {
       case 4:
         return Expr::cmp({ColumnKind::kNamed, "time_us"}, CmpOp::kGe,
                          Value(static_cast<double>(rng() % 2048)));
-      default:
+      case 5:
         return Expr::cmp({ColumnKind::kReplicate, "replicate"}, CmpOp::kLt,
                          Value(static_cast<std::int64_t>(1 + rng() % 5)));
+      case 6:  // string literal on an int or real factor (only != holds)
+        return Expr::cmp(coin(rng) ? size
+                                   : query::ColumnRef{ColumnKind::kNamed,
+                                                      "intensity"},
+                         coin(rng) ? CmpOp::kNe : any_op(),
+                         Value(coin(rng) ? "1024" : "zzz"));
+      case 7:  // int literal on the string factor
+        return Expr::cmp({ColumnKind::kNamed, "op"}, any_op(),
+                         Value(std::int64_t{1}));
+      case 8:  // int literal on the real factor
+        return Expr::cmp({ColumnKind::kNamed, "intensity"}, any_op(),
+                         Value(std::int64_t{1}));
+      case 9: {  // real literal on an int factor, at the 2^53 boundary
+        const double literals[] = {9007199254740992.0, 9007199254740993.0,
+                                   2.5, 512.5};
+        return Expr::cmp(size, any_op(), Value(literals[rng() % 4]));
+      }
+      case 10:  // int literal on the mixed-kind factor
+        return Expr::cmp({ColumnKind::kNamed, "mix"}, any_op(),
+                         Value(std::int64_t{coin(rng) ? 1 : 7}));
+      case 11:  // string literal on the mixed-kind factor
+        return Expr::cmp({ColumnKind::kNamed, "mix"}, any_op(),
+                         Value(coin(rng) ? "x" : "y"));
+      default:  // real literal on the mixed-kind factor
+        return Expr::cmp({ColumnKind::kNamed, "mix"}, any_op(), Value(4.5));
     }
   };
   query::ExprPtr e = leaf();
@@ -128,6 +174,8 @@ bool matches(const query::Expr& e, const RawRecord& r) {
     v = r.factors[1];
   } else if (e.column().name == "intensity") {
     v = r.factors[2];
+  } else if (e.column().name == "mix") {
+    v = r.factors[3];
   } else if (e.column().name == "time_us") {
     v = Value(r.metrics[0]);
   } else if (e.column().kind == ColumnKind::kSequence) {
@@ -150,69 +198,147 @@ void write_bundle(const Plan& plan, const std::filesystem::path& dir) {
   make_engine().run(plan, noisy_measure, sink);
 }
 
-TEST(QueryProperty, AggregatesMatchMaterializePathAtAnyWorkerCount) {
+/// The SIMD levels this machine can run: scalar and the best one.
+std::vector<simd::Level> dispatch_levels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::best_supported() != simd::Level::kScalar) {
+    levels.push_back(simd::best_supported());
+  }
+  return levels;
+}
+
+/// The block sources every trial runs through: direct decode, and the
+/// serving layer's cache under an evicting budget and with retention
+/// off.  Caches persist across a trial's calls, so later calls mix
+/// hits, misses and evictions.
+struct Sources {
+  explicit Sources(const ar::BbxReader& reader)
+      : evicting_cache(options(2048)),
+        unretained_cache(options(0)),
+        direct(reader),
+        evicting(reader, &evicting_cache, 0),
+        unretained(reader, &unretained_cache, 0) {}
+
+  static serve::BlockCache::Options options(std::size_t budget) {
+    serve::BlockCache::Options o;
+    o.byte_budget = budget;
+    return o;
+  }
+
+  std::vector<std::pair<const char*, const query::BlockSource*>> all() const {
+    return {{"direct", &direct},
+            {"cached-evicting", &evicting},
+            {"cached-unretained", &unretained}};
+  }
+
+  serve::BlockCache evicting_cache, unretained_cache;
+  query::DirectBlockSource direct;
+  serve::CachingBlockSource evicting, unretained;
+};
+
+TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
   std::mt19937_64 rng(20260726);
   const auto dir =
       std::filesystem::temp_directory_path() / "calipers_query_property";
-  for (int trial = 0; trial < 10; ++trial) {
+  const std::vector<std::vector<std::string>> group_bys = {
+      {"size"}, {"size", "op"}, {"mix"}, {"op", "mix"}};
+  const simd::Level before = simd::active_level();
+  for (int trial = 0; trial < 24; ++trial) {
     const Plan plan = random_plan(rng);
     write_bundle(plan, dir);
     const RawTable reference = make_engine().run(plan, noisy_measure);
     const ar::BbxReader reader(dir.string());
-    const query::BundleQuery bundle(reader);
+    const Sources sources(reader);
 
     query::QuerySpec spec;
     spec.where = random_predicate(rng, plan);
-    spec.group_by = (trial % 3 == 0) ? std::vector<std::string>{"size"}
-                                     : std::vector<std::string>{"size", "op"};
+    spec.group_by = group_bys[trial % group_bys.size()];
     spec.aggregates = {query::Aggregate{query::AggKind::kCount, ""},
                        *query::parse_aggregate("mean:time_us"),
                        *query::parse_aggregate("sd:time_us"),
                        *query::parse_aggregate("min:time_us"),
                        *query::parse_aggregate("max:time_us")};
 
-    // Reference: materialize everything, filter by the same predicate,
-    // group with stats::group_metric.
+    // Reference: filter the materialized records through value_compare,
+    // group their samples in a std::map (Value ordering, sequence order
+    // within a group).
     const RawTable filtered = reference.filter_records(
         [&](const RawRecord& r) { return matches(*spec.where, r); });
-    const auto groups =
-        stats::group_metric(filtered, spec.group_by, "time_us");
-
-    std::string csv_at_1;
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      core::WorkerPool pool(workers, "query-prop");
-      const query::QueryResult result =
-          bundle.aggregate(spec, workers > 1 ? &pool : nullptr);
-
-      ASSERT_EQ(result.rows.size(), groups.size())
-          << "trial " << trial << " predicate "
-          << spec.where->to_string();
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        const auto& xs = groups[g].samples;
-        ASSERT_EQ(result.rows[g].key, groups[g].key);
-        EXPECT_EQ(result.rows[g].values[0],
-                  static_cast<double>(xs.size()));
-        const double m = stats::mean(xs);
-        EXPECT_NEAR(result.rows[g].values[1], m,
-                    1e-12 * std::max(1.0, std::abs(m)));
-        EXPECT_NEAR(result.rows[g].values[2], stats::stddev(xs),
-                    1e-9 * std::max(1.0, stats::stddev(xs)));
-        EXPECT_EQ(result.rows[g].values[3], stats::min_value(xs));
-        EXPECT_EQ(result.rows[g].values[4], stats::max_value(xs));
+    std::map<std::vector<Value>, std::vector<double>> groups;
+    for (const RawRecord& r : filtered.records()) {
+      std::vector<Value> key;
+      for (const std::string& name : spec.group_by) {
+        key.push_back(r.factors[filtered.factor_index(name)]);
       }
+      groups[key].push_back(r.metrics[0]);
+    }
+    std::ostringstream filtered_csv;
+    filtered.write_csv(filtered_csv);
 
-      // Byte identity of the aggregate CSV across worker counts.
-      std::ostringstream csv;
-      result.write_csv(csv);
-      if (workers == 1) {
-        csv_at_1 = csv.str();
-      } else {
-        EXPECT_EQ(csv.str(), csv_at_1)
-            << "aggregate CSV diverged at " << workers << " workers";
+    std::string agg_base;
+    for (const simd::Level level : dispatch_levels()) {
+      simd::set_level(level);
+      for (const auto& [source_name, source] : sources.all()) {
+        const query::BundleQuery bundle(reader, source);
+        for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                          std::size_t{8}}) {
+          core::WorkerPool pool(workers, "query-prop");
+          core::WorkerPool* p = workers > 1 ? &pool : nullptr;
+          const std::string where = std::string(source_name) + " level " +
+                                    simd::to_string(level) + " workers " +
+                                    std::to_string(workers) + " trial " +
+                                    std::to_string(trial) + " predicate " +
+                                    spec.where->to_string();
+
+          const query::QueryResult result = bundle.aggregate(spec, p);
+          ASSERT_EQ(result.rows.size(), groups.size()) << where;
+          auto g = groups.begin();
+          for (std::size_t row = 0; row < groups.size(); ++row, ++g) {
+            const std::vector<double>& xs = g->second;
+            ASSERT_EQ(result.rows[row].key, g->first) << where;
+            EXPECT_EQ(result.rows[row].values[0],
+                      static_cast<double>(xs.size()))
+                << where;
+            const double m = stats::mean(xs);
+            EXPECT_NEAR(result.rows[row].values[1], m,
+                        1e-12 * std::max(1.0, std::abs(m)))
+                << where;
+            EXPECT_NEAR(result.rows[row].values[2], stats::stddev(xs),
+                        1e-9 * std::max(1.0, stats::stddev(xs)))
+                << where;
+            EXPECT_EQ(result.rows[row].values[3], stats::min_value(xs))
+                << where;
+            EXPECT_EQ(result.rows[row].values[4], stats::max_value(xs))
+                << where;
+          }
+          std::ostringstream csv;
+          result.write_csv(csv);
+          if (agg_base.empty()) agg_base = csv.str();
+          EXPECT_EQ(csv.str(), agg_base) << "aggregate CSV diverged: "
+                                         << where;
+
+          std::ostringstream mat;
+          bundle.materialize(spec.where, {}, p).write_csv(mat);
+          EXPECT_EQ(mat.str(), filtered_csv.str())
+              << "materialize diverged: " << where;
+
+          const std::vector<stats::Group> samples =
+              bundle.group_samples(spec.where, spec.group_by, "time_us", p);
+          ASSERT_EQ(samples.size(), groups.size()) << where;
+          g = groups.begin();
+          for (std::size_t row = 0; row < groups.size(); ++row, ++g) {
+            EXPECT_EQ(samples[row].key, g->first) << where;
+            EXPECT_EQ(samples[row].samples, g->second) << where;
+          }
+        }
       }
     }
+    // The cached sources really took their eviction / no-retention paths.
+    EXPECT_GT(sources.evicting_cache.stats().evictions, 0u);
+    EXPECT_GT(sources.unretained_cache.stats().rejected, 0u);
+    EXPECT_EQ(sources.unretained_cache.stats().entries, 0u);
   }
+  simd::set_level(before);
   std::filesystem::remove_all(dir);
 }
 
@@ -276,12 +402,12 @@ TEST(QueryProperty, ZoneMapsPruneWithoutDivergence) {
 // is never truncated to int64.  The levels here sit where that
 // distinction is observable -- 2^53 and 2^53 + 1 widen to the same
 // double, and small ints straddle fractional bounds like 2.5.  Each
-// predicate runs both through the encoded-domain evaluator (plain int
-// column) and through the decoded cmp_mask path (forced by AND-ing a
-// mixed-kind factor the encoded evaluator refuses), at every dispatch
+// predicate runs alone and AND-ed with a leaf on a mixed-kind factor
+// (always true, but its coded column sits beside the i64 one), through
+// both the direct and the caching block source, at every dispatch
 // level this machine supports.
 TEST(QueryProperty, IntFactorRealLiteralBoundariesMatchValueCompare) {
-  const std::int64_t big = std::int64_t{1} << 53;  // 9007199254740992
+  const std::int64_t big = kTwo53;  // 9007199254740992
   DesignBuilder builder(7);
   builder.add(Factor::levels(
       "n", {Value(big), Value(big + 1), Value(big + 3), Value(std::int64_t{2}),
@@ -307,7 +433,7 @@ TEST(QueryProperty, IntFactorRealLiteralBoundariesMatchValueCompare) {
     Engine({"m"}, eopts).run(plan, measure, sink);
   }
   const ar::BbxReader reader(dir.string());
-  const query::BundleQuery bundle(reader);
+  const Sources sources(reader);
 
   struct Case {
     query::CmpOp op;
@@ -323,12 +449,8 @@ TEST(QueryProperty, IntFactorRealLiteralBoundariesMatchValueCompare) {
       {query::CmpOp::kGt, static_cast<double>(big)},
   };
 
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::best_supported() != simd::Level::kScalar) {
-    levels.push_back(simd::best_supported());
-  }
   const simd::Level before = simd::active_level();
-  for (const simd::Level level : levels) {
+  for (const simd::Level level : dispatch_levels()) {
     simd::set_level(level);
     for (const Case& c : cases) {
       const Value literal(c.literal);
@@ -338,19 +460,22 @@ TEST(QueryProperty, IntFactorRealLiteralBoundariesMatchValueCompare) {
       }
       const query::ExprPtr base =
           query::Expr::cmp({query::ColumnKind::kNamed, "n"}, c.op, literal);
-      // "mix != zzz" is true for every record (kind mismatch admits only
-      // kNe), but its mixed-kind column defeats encoded evaluation, so
-      // the whole block falls back to the decoded predicate path.
-      const query::ExprPtr decoded_route = query::Expr::logical_and(
+      // "mix != zzz" is true for every record (a kind mismatch admits
+      // only kNe, and "x" != "zzz").
+      const query::ExprPtr with_mixed = query::Expr::logical_and(
           query::Expr::cmp({query::ColumnKind::kNamed, "mix"},
                            query::CmpOp::kNe, Value("zzz")),
-          query::Expr::cmp({query::ColumnKind::kNamed, "n"}, c.op, literal));
-      EXPECT_EQ(bundle.materialize(base).size(), expected)
-          << "encoded path, op " << static_cast<int>(c.op) << " literal "
-          << c.literal << " level " << simd::to_string(level);
-      EXPECT_EQ(bundle.materialize(decoded_route).size(), expected)
-          << "decoded path, op " << static_cast<int>(c.op) << " literal "
-          << c.literal << " level " << simd::to_string(level);
+          base);
+      for (const auto& [source_name, source] : sources.all()) {
+        const query::BundleQuery bundle(reader, source);
+        for (const auto& [label, expr] :
+             {std::pair{"alone", base}, std::pair{"with mixed", with_mixed}}) {
+          EXPECT_EQ(bundle.materialize(expr).size(), expected)
+              << source_name << ", " << label << ", op "
+              << static_cast<int>(c.op) << " literal " << c.literal
+              << " level " << simd::to_string(level);
+        }
+      }
     }
   }
   simd::set_level(before);
@@ -371,10 +496,7 @@ MeasureResult nan_bearing_measure(const PlannedRun& run, MeasureContext& ctx) {
 // produce byte-identical aggregate and materialize CSVs for randomized
 // plans and predicates, including NaN-bearing metric columns.
 TEST(QueryProperty, DispatchLevelsProduceByteIdenticalResults) {
-  std::vector<simd::Level> levels;
-  for (const simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2}) {
-    if (l <= simd::best_supported()) levels.push_back(l);
-  }
+  const std::vector<simd::Level> levels = dispatch_levels();
   const simd::Level before = simd::active_level();
   std::mt19937_64 rng(424242);
   const auto dir =

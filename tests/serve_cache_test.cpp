@@ -28,11 +28,10 @@ using serve::BlockCache;
 using serve::CachedColumn;
 
 /// A resolved column of `n` doubles (8n accounting bytes).
-CachedColumn real_column(std::size_t n, double fill = 1.0) {
-  CachedColumn col;
-  auto values = std::make_shared<std::vector<double>>(n, fill);
-  col.bytes = serve::column_bytes(*values);
-  col.real = std::move(values);
+std::shared_ptr<const CachedColumn> real_column(std::size_t n,
+                                                double fill = 1.0) {
+  auto col = std::make_shared<CachedColumn>();
+  col->f64.assign(n, fill);
   return col;
 }
 
@@ -89,9 +88,8 @@ TEST(BlockCache, EntryWiderThanBudgetServesWaitersButIsNotRetained) {
       seen = cache.get_or_begin(key_of(7), &late_owner);
       if (seen != nullptr) break;
       if (late_owner) {
-        auto column = real_column(1000);
-        seen = std::make_shared<const CachedColumn>(column);
-        cache.insert(key_of(7), std::move(column));
+        seen = real_column(1000);
+        cache.insert(key_of(7), seen);
       } else {
         seen = cache.wait(key_of(7));
       }
@@ -101,7 +99,7 @@ TEST(BlockCache, EntryWiderThanBudgetServesWaitersButIsNotRetained) {
   waiter.join();
 
   ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->real->size(), 1000u);
+  EXPECT_EQ(seen->f64.size(), 1000u);
   const BlockCache::Stats stats = cache.stats();
   EXPECT_GE(stats.rejected, 1u);
   EXPECT_EQ(stats.entries, 0u);
@@ -252,7 +250,7 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
         bool owner = false;
         auto hit = cache.get_or_begin(k, &owner);
         if (hit != nullptr) {
-          EXPECT_EQ(hit->real->size(), 10u);
+          EXPECT_EQ(hit->f64.size(), 10u);
           continue;
         }
         if (owner) {
@@ -263,7 +261,7 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
           }
         } else {
           hit = cache.wait(k);  // value or abandoned-null both fine
-          if (hit != nullptr) EXPECT_EQ(hit->real->size(), 10u);
+          if (hit != nullptr) EXPECT_EQ(hit->f64.size(), 10u);
         }
       }
     });

@@ -376,7 +376,7 @@ TEST(SimdKernels, WelfordFoldBitIdenticalToSequentialRecurrence) {
 
 // --- mask combinators -------------------------------------------------------
 
-TEST(SimdKernels, MaskOpsMatchReferenceAtEveryLevel) {
+TEST(SimdKernels, MaskCombinatorsMatchReferenceAtEveryLevel) {
   std::mt19937_64 rng(31);
   for (const std::size_t n : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 257u}) {
     std::vector<char> a(n), b(n);
