@@ -34,8 +34,9 @@ NetCampaignSetup make_net_campaign(const sim::net::NetworkSim& network,
   Engine::Options engine_options;
   engine_options.seed = options.seed ^ 0xC0FFEE;
   engine_options.inter_run_gap_s = options.inter_run_gap_s;
-  // Perturbation windows are time-dependent: force the sequential path
-  // (and drop any shared pool) so they see true timestamps.
+  // Perturbation windows are time-dependent: force one worker (and drop
+  // any shared pool) so the engine runs inline and they see true
+  // timestamps.
   const bool time_dependent = !network.config().perturbations.empty();
   engine_options.threads = time_dependent ? 1 : options.threads;
   engine_options.pool = time_dependent ? nullptr : options.pool;

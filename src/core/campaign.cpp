@@ -165,17 +165,9 @@ Metadata Campaign::finished_metadata(bool streamed) const {
   Metadata md = metadata_;
   md.set("plan_runs", static_cast<std::int64_t>(plan_.size()));
   md.set("plan_seed", static_cast<std::uint64_t>(plan_.seed()));
-  // Record the worker count actually used: the shared pool's width when
-  // one is attached, else the resolved request -- clamped either way,
-  // because the engine never shards over more workers than there are
-  // planned runs.
-  const Engine::Options& eopts = engine_.options();
-  const std::size_t requested = eopts.pool
-                                    ? eopts.pool->size()
-                                    : Engine::resolve_threads(eopts.threads);
   md.set("engine_threads",
-         static_cast<std::int64_t>(
-             std::min(requested, std::max<std::size_t>(plan_.size(), 1))));
+         static_cast<std::int64_t>(engine_.workers_for(plan_.size())));
+  const Engine::Options& eopts = engine_.options();
   if (eopts.pool) md.set("worker_pool", eopts.pool->name());
   if (eopts.clock == Clock::kIndexed) {
     md.set("engine_clock", std::string("indexed"));

@@ -47,41 +47,10 @@ void draw_seeds(Rng& engine_rng, std::size_t n,
   for (auto& seed : seeds) seed = engine_rng.next_u64();
 }
 
-/// Builds every worker's measurement callable up front, on the calling
-/// thread, so factories need no synchronization.  Shared by both
-/// parallel entry points (run-with-sink and run_opaque) so the
-/// factory-call ordering that determinism relies on has one definition.
-std::vector<MeasureFn> build_measures(const MeasureFactory& factory,
-                                      std::size_t threads) {
-  std::vector<MeasureFn> measures;
-  measures.reserve(threads);
-  for (std::size_t w = 0; w < threads; ++w) measures.push_back(factory(w));
-  return measures;
-}
-
-/// Assembles the record for `planned`, stamped with timestamp `t`,
-/// appends it to `batch`, and advances the accumulated clock by the
-/// run's duration plus the inter-run gap.  The one definition both the
-/// sequential path and the parallel window merge share -- the
-/// bit-identical contract depends on these never drifting apart.
-void append_record(const PlannedRun& planned, MeasureResult&& result, double t,
-                   double& now, double gap, std::vector<RawRecord>& batch) {
-  RawRecord rec;
-  rec.sequence = planned.run_index;
-  rec.cell_index = planned.cell_index;
-  rec.replicate = planned.replicate;
-  rec.timestamp_s = t;
-  rec.factors = planned.values;
-  rec.metrics = std::move(result.metrics);
-  batch.push_back(std::move(rec));
-  now += result.elapsed_s + gap;
-}
-
 /// Streamed per-cell Welford accumulators: the opaque path's whole
-/// resident state.  Measurements are merged strictly in sweep order
-/// (sequentially, or window by window in parallel mode), so the sums --
-/// and therefore the summaries -- are bit-identical no matter how the
-/// campaign was executed.
+/// resident state.  Measurements are merged window by window, strictly
+/// in sweep order, so the sums -- and therefore the summaries -- are
+/// bit-identical no matter how the campaign was executed.
 class WelfordCells {
  public:
   WelfordCells(std::size_t n_cells, std::size_t n_metrics)
@@ -140,26 +109,6 @@ class WelfordCells {
   std::vector<Acc> cells_;
 };
 
-/// The pool a parallel call executes its windows on: the shared
-/// Options::pool when set, else one owned for the duration of the call.
-class PoolLease {
- public:
-  PoolLease(const Engine::Options& options, std::size_t threads) {
-    if (options.pool) {
-      pool_ = options.pool.get();
-    } else {
-      owned_ = std::make_unique<core::WorkerPool>(threads, "cal-engine");
-      pool_ = owned_.get();
-    }
-  }
-
-  core::WorkerPool& pool() noexcept { return *pool_; }
-
- private:
-  core::WorkerPool* pool_ = nullptr;
-  std::unique_ptr<core::WorkerPool> owned_;
-};
-
 /// Closes `sink` during unwinding if the campaign failed before the
 /// engine could close it normally; errors from this best-effort close
 /// are swallowed so the measurement error stays the one that propagates.
@@ -180,6 +129,120 @@ class SinkCloser {
   RecordSink& sink_;
   bool disarmed_ = false;
 };
+
+/// Folds one finished window into the caller's output, in plan order:
+/// results[k] and stamps[k] (its simulated timestamp) belong to
+/// order[begin + k].
+using WindowMerge =
+    std::function<void(std::size_t begin, std::vector<MeasureResult>& results,
+                       const std::vector<double>& stamps)>;
+
+/// The one execution loop behind run_range() and run_opaque(): runs
+/// order[first, first + count) window by window (one window = one sink
+/// batch of runs) and hands each finished window to `merge`.  The
+/// resident state is one window of results, whatever the campaign size.
+///
+/// With one worker the window runs inline on the calling thread and
+/// every measurement sees the live simulated clock in now_s, which is
+/// what time-dependent simulations need.  With more, the window is
+/// sharded round-robin over the pool (worker w takes window positions w,
+/// w + width, ...): deterministic, no work stealing, and the
+/// lowest-position failure propagates.  now_s is then the start time,
+/// and the clock is rebuilt here from the returned durations, so the
+/// stamps are the same at any worker count.  `sweep` selects the opaque
+/// sweep's conventions: sequence numbers are positions in `order` and
+/// the clock always accumulates.
+void drive(const Engine& engine, const std::vector<PlannedRun>& order,
+           std::size_t first, std::size_t count,
+           const MeasureFactory& factory, bool sweep,
+           const WindowMerge& merge) {
+  const Engine::Options& options = engine.options();
+  const std::size_t workers = engine.workers_for(count);
+  const std::size_t window = std::max<std::size_t>(options.sink_batch, 1);
+  const bool indexed = !sweep && options.clock == Clock::kIndexed;
+  const double gap = options.inter_run_gap_s;
+
+  WindowStats* const stats = options.window_stats.get();
+  if (stats != nullptr) {
+    *stats = WindowStats{};
+    stats->threads = workers;
+  }
+  std::vector<double> busy_s(stats != nullptr ? workers : 0, 0.0);
+
+  // Factories run on the calling thread, before any measurement starts,
+  // so they need no synchronization.
+  std::vector<MeasureFn> measures;
+  measures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) measures.push_back(factory(w));
+  // Null pool = one worker, run inline (even when a pool is shared).
+  core::WorkerPool* pool = workers > 1 ? options.pool.get() : nullptr;
+  std::unique_ptr<core::WorkerPool> owned;
+  if (workers > 1 && pool == nullptr) {
+    owned = std::make_unique<core::WorkerPool>(workers, "cal-engine");
+    pool = owned.get();
+  }
+
+  Rng engine_rng(options.seed);
+  engine_rng.discard(first);  // runs [0, first) each drew one seed
+  double now = options.start_time_s;
+  std::vector<std::uint64_t> seeds;
+  std::vector<MeasureResult> results;
+  std::vector<double> stamps;
+  for (std::size_t begin = first; begin < first + count; begin += window) {
+    const std::size_t n = std::min(window, first + count - begin);
+    draw_seeds(engine_rng, n, seeds);
+    results.resize(n);
+    stamps.resize(n);
+    const auto measure = [&](std::size_t w, std::size_t k, double now_s) {
+      const PlannedRun& run = order[begin + k];
+      Rng run_rng(seeds[k]);
+      MeasureContext ctx{now_s, sweep ? begin + k : run.run_index, &run_rng,
+                         w};
+      const auto t0 =
+          stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
+      MeasureResult result = measures[w](run, ctx);
+      if (stats != nullptr) {
+        busy_s[w] += seconds_between(t0, SteadyClock::now());
+      }
+      if (result.metrics.size() != engine.metric_names().size()) {
+        throw std::runtime_error("Engine: measurement width mismatch");
+      }
+      results[k] = std::move(result);
+    };
+    const auto window_t0 = SteadyClock::now();
+    {
+      CAL_SPAN("engine.window");
+      CAL_TIME_SCOPE("engine.window_seconds");
+      if (pool != nullptr) {
+        pool->run_indexed(
+            n,
+            [&](std::size_t w, std::size_t k) {
+              measure(w, k, options.start_time_s);
+            },
+            workers);
+      }
+      // Under the indexed clock a timestamp is a pure function of the
+      // plan index; under the accumulated clock it is the threaded `now`.
+      for (std::size_t k = 0; k < n; ++k) {
+        stamps[k] = indexed ? options.start_time_s +
+                                  static_cast<double>(
+                                      order[begin + k].run_index) *
+                                      gap
+                            : now;
+        if (pool == nullptr) measure(0, k, stamps[k]);
+        now += results[k].elapsed_s + gap;
+      }
+    }
+    CAL_COUNT("engine.windows", 1);
+    CAL_COUNT("engine.runs", n);
+    CAL_FAULT_POINT("engine.window");
+    merge(begin, results, stamps);
+    note_window(stats, n, seconds_between(window_t0, SteadyClock::now()));
+  }
+  if (stats != nullptr) {
+    for (const double busy : busy_s) stats->busy_s += busy;
+  }
+}
 
 }  // namespace
 
@@ -217,47 +280,13 @@ std::size_t Engine::resolve_threads(std::size_t requested) noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::size_t Engine::parallelism(std::size_t plan_runs) const {
+std::size_t Engine::workers_for(std::size_t plan_runs) const {
   // Clamp to the plan size either way: a 6-run campaign on a 32-worker
   // shared pool should build 6 factory replicas, not 32.
   const std::size_t requested = options_.pool
                                     ? options_.pool->size()
                                     : resolve_threads(options_.threads);
   return std::min(requested, std::max<std::size_t>(plan_runs, 1));
-}
-
-void Engine::execute_window(core::WorkerPool& pool,
-                            const std::vector<PlannedRun>& order,
-                            std::size_t begin, std::size_t end,
-                            const std::vector<std::uint64_t>& seeds,
-                            bool sequence_is_position,
-                            const std::vector<MeasureFn>& measures,
-                            std::vector<MeasureResult>& results,
-                            std::vector<double>* worker_busy_s) const {
-  results.resize(end - begin);
-  CAL_SPAN("engine.window");
-  // Round-robin sharding (worker w takes window positions w, w + width,
-  // ...): deterministic -- no work stealing -- and interleaved assignment
-  // spreads expensive neighbouring runs; randomized plans have no cost
-  // locality anyway.  The shard width is the measure count, which may be
-  // below a shared pool's worker count for small plans.  On failure the
-  // lowest-position exception (plan order) propagates and the pool
-  // stays reusable.
-  pool.run_indexed(end - begin, [&](std::size_t w, std::size_t k) {
-    const std::size_t j = begin + k;
-    Rng run_rng(seeds[k]);
-    MeasureContext ctx{options_.start_time_s,
-                       sequence_is_position ? j : order[j].run_index, &run_rng,
-                       w};
-    const bool timed = worker_busy_s != nullptr;
-    const auto t0 = timed ? SteadyClock::now() : SteadyClock::time_point{};
-    MeasureResult result = measures[w](order[j], ctx);
-    if (timed) (*worker_busy_s)[w] += seconds_between(t0, SteadyClock::now());
-    if (result.metrics.size() != metric_names_.size()) {
-      throw std::runtime_error("Engine: measurement width mismatch");
-    }
-    results[k] = std::move(result);
-  }, measures.size());
 }
 
 void Engine::run(const Plan& plan, const MeasureFactory& factory,
@@ -281,128 +310,30 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
   }
   if (!options_.faults.empty()) core::fault::arm_spec(options_.faults);
 
-  const bool indexed = options_.clock == Clock::kIndexed;
-  const double gap = options_.inter_run_gap_s;
-  // Under the indexed clock a record's timestamp is a pure function of
-  // its plan index; under the accumulated clock it is the threaded
-  // simulated `now`.  One lambda so both execution paths agree.
-  const auto stamp = [&](double now, std::size_t run_index) {
-    return indexed
-               ? options_.start_time_s + static_cast<double>(run_index) * gap
-               : now;
-  };
-
   std::vector<std::string> factor_names;
   factor_names.reserve(plan.factors().size());
   for (const auto& f : plan.factors()) factor_names.push_back(f.name());
   sink.begin(factor_names, metric_names_, count);
   SinkCloser closer(sink);  // finalizes the sink even on failure
 
-  const std::size_t n = count;
-  const std::size_t batch_size = std::max<std::size_t>(options_.sink_batch, 1);
-  const std::size_t threads = parallelism(n);
-
-  WindowStats* const stats = options_.window_stats.get();
-  if (stats != nullptr) {
-    *stats = WindowStats{};
-    stats->threads = threads;
-  }
-
-  if (threads <= 1) {
-    // Sequential: the simulated clock threads through the measurement, so
-    // time-dependent simulations see true timestamps (accumulated clock;
-    // the indexed clock's timestamps are position-determined either way).
-    const MeasureFn measure = factory(0);
-    Rng engine_rng(options_.seed);
-    engine_rng.discard(first);  // runs [0, first) each drew one seed
-    double now = options_.start_time_s;
-    std::vector<RawRecord> batch;
-    batch.reserve(std::min(batch_size, n));
-    auto window_t0 = SteadyClock::now();
-    const auto flush = [&] {
-      const std::size_t runs = batch.size();
-      CAL_COUNT("engine.windows", 1);
-      CAL_COUNT("engine.runs", runs);
-      CAL_FAULT_POINT("engine.window");
-      {
-        CAL_SPAN("engine.sink");
-        CAL_TIME_SCOPE("engine.sink_seconds");
-        sink.consume(std::move(batch));
-      }
-      note_window(stats, runs, seconds_between(window_t0, SteadyClock::now()));
-      window_t0 = SteadyClock::now();
-    };
-    for (std::size_t j = first; j < first + count; ++j) {
-      const PlannedRun& planned = order[j];
-      Rng run_rng = engine_rng.split();
-      const double t = stamp(now, planned.run_index);
-      MeasureContext ctx{t, planned.run_index, &run_rng, 0};
-      const auto t0 =
-          stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
-      MeasureResult result = measure(planned, ctx);
-      if (stats != nullptr) {
-        stats->busy_s += seconds_between(t0, SteadyClock::now());
-      }
-      if (result.metrics.size() != metric_names_.size()) {
-        throw std::runtime_error("Engine: measurement width mismatch");
-      }
-      append_record(planned, std::move(result), t, now, gap, batch);
-      if (batch.size() >= batch_size) {
-        flush();
-        batch.clear();
-        batch.reserve(std::min(batch_size, n));
-      }
-    }
-    if (!batch.empty()) flush();
-    closer.disarm();
-    sink.close();
-    return;
-  }
-
-  // Parallel: execute the range window by window (one window = one sink
-  // batch) on the persistent pool, merging each window in plan order and
-  // rebuilding the sequential clock from the returned durations across
-  // windows.  The resident state is one window of results + one batch of
-  // records, no matter how large the campaign is.
-  const std::vector<MeasureFn> measures = build_measures(factory, threads);
-  PoolLease lease(options_, threads);
-  Rng engine_rng(options_.seed);
-  engine_rng.discard(first);
-  double now = options_.start_time_s;
-  std::vector<std::uint64_t> seeds;
-  std::vector<MeasureResult> results;
-  std::vector<double> worker_busy_s(stats != nullptr ? threads : 0, 0.0);
-  for (std::size_t begin = first; begin < first + n; begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, first + n);
-    draw_seeds(engine_rng, end - begin, seeds);
-    const auto window_t0 = SteadyClock::now();
-    {
-      CAL_TIME_SCOPE("engine.window_seconds");
-      execute_window(lease.pool(), order, begin, end, seeds,
-                     /*sequence_is_position=*/false, measures, results,
-                     stats != nullptr ? &worker_busy_s : nullptr);
-    }
-    std::vector<RawRecord> batch;
-    batch.reserve(end - begin);
-    for (std::size_t j = begin; j < end; ++j) {
-      const double t = stamp(now, order[j].run_index);
-      append_record(order[j], std::move(results[j - begin]), t, now, gap,
-                    batch);
-    }
-    CAL_COUNT("engine.windows", 1);
-    CAL_COUNT("engine.runs", end - begin);
-    CAL_FAULT_POINT("engine.window");
-    {
-      CAL_SPAN("engine.sink");
-      CAL_TIME_SCOPE("engine.sink_seconds");
-      sink.consume(std::move(batch));
-    }
-    note_window(stats, end - begin,
-                seconds_between(window_t0, SteadyClock::now()));
-  }
-  if (stats != nullptr) {
-    for (const double busy : worker_busy_s) stats->busy_s += busy;
-  }
+  drive(*this, order, first, count, factory, /*sweep=*/false,
+        [&](std::size_t begin, std::vector<MeasureResult>& results,
+            const std::vector<double>& stamps) {
+          std::vector<RawRecord> batch(results.size());
+          for (std::size_t k = 0; k < results.size(); ++k) {
+            const PlannedRun& planned = order[begin + k];
+            RawRecord& rec = batch[k];
+            rec.sequence = planned.run_index;
+            rec.cell_index = planned.cell_index;
+            rec.replicate = planned.replicate;
+            rec.timestamp_s = stamps[k];
+            rec.factors = planned.values;
+            rec.metrics = std::move(results[k].metrics);
+          }
+          CAL_SPAN("engine.sink");
+          CAL_TIME_SCOPE("engine.sink_seconds");
+          sink.consume(std::move(batch));
+        });
   closer.disarm();
   sink.close();
 }
@@ -441,54 +372,20 @@ OpaqueSummary Engine::run_opaque(const Plan& plan,
 
   // Online Welford accumulators, indexed directly by the plan's cell
   // index -- no per-record scan over key vectors, and no MeasureResult
-  // buffering: each measurement folds in as soon as it is merged.
+  // buffering beyond one window: each window folds in as it finishes.
   std::size_t n_cells = 0;
   for (const auto& planned : order) {
     n_cells = std::max(n_cells, planned.cell_index + 1);
   }
   WelfordCells cells(n_cells, metric_names_.size());
 
-  const std::size_t threads = parallelism(order.size());
-  if (threads <= 1) {
-    const MeasureFn measure = factory(0);
-    Rng engine_rng(options_.seed);
-    double now = options_.start_time_s;
-    for (std::size_t j = 0; j < order.size(); ++j) {
-      Rng run_rng = engine_rng.split();
-      MeasureContext ctx{now, j, &run_rng, 0};
-      MeasureResult result = measure(order[j], ctx);
-      if (result.metrics.size() != metric_names_.size()) {
-        throw std::runtime_error("Engine: measurement width mismatch");
-      }
-      now += result.elapsed_s + options_.inter_run_gap_s;
-      cells.add(order[j], result.metrics);
-    }
-  } else {
-    // Parallel: execute the sweep in bounded windows on the persistent
-    // pool and merge each window's staged results into the shared
-    // accumulators in plan order -- the summation order is identical to
-    // the sequential loop above, so the summaries are bit-identical at
-    // any thread count and any window size.
-    const std::size_t window = std::max<std::size_t>(
-        options_.opaque_window != 0 ? options_.opaque_window
-                                    : options_.sink_batch,
-        1);
-    const std::vector<MeasureFn> measures = build_measures(factory, threads);
-    PoolLease lease(options_, threads);
-    Rng engine_rng(options_.seed);
-    std::vector<std::uint64_t> seeds;
-    std::vector<MeasureResult> results;
-    for (std::size_t begin = 0; begin < order.size(); begin += window) {
-      const std::size_t end = std::min(begin + window, order.size());
-      draw_seeds(engine_rng, end - begin, seeds);
-      execute_window(lease.pool(), order, begin, end, seeds,
-                     /*sequence_is_position=*/true, measures, results);
-      for (std::size_t k = 0; k < end - begin; ++k) {
-        cells.add(order[begin + k], results[k].metrics);
-      }
-    }
-  }
-
+  drive(*this, order, 0, order.size(), factory, /*sweep=*/true,
+        [&](std::size_t begin, std::vector<MeasureResult>& results,
+            const std::vector<double>&) {
+          for (std::size_t k = 0; k < results.size(); ++k) {
+            cells.add(order[begin + k], results[k].metrics);
+          }
+        });
   summary.cells = cells.finish();
   return summary;
 }

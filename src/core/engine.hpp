@@ -9,8 +9,18 @@
 // resident.  All intelligence lives before (design) or after (analysis)
 // this stage.
 //
-// Campaign throughput: the engine can shard runs over a worker pool
-// (Options::threads).  Determinism is preserved by construction:
+// One driver executes every call, window by window (one window = one
+// sink batch of runs), and merges each finished window in plan order:
+// run()/run_range() append it as records to the sink, run_opaque()
+// folds it into per-cell summaries.  With one worker (Options::threads
+// == 1, the default) the window runs inline on the calling thread and
+// each measurement sees the true simulated clock in
+// MeasureContext::now_s.  With more, the window is sharded round-robin
+// over a persistent core::WorkerPool -- created once per call, or shared
+// across calls via Options::pool -- woken per window, so per-window
+// latency is a condition-variable broadcast, not a thread spawn/join.
+//
+// Determinism is preserved by construction:
 //
 //   * every run's random stream is pre-split from the engine seed in run
 //     order (one engine-stream draw per run, exactly what the i-th
@@ -20,27 +30,22 @@
 //   * workers stage results into per-run slots and the merge rebuilds the
 //     record batch -- and the simulated clock -- in plan order.
 //
-// The resulting RawTable is bit-identical to sequential execution at any
-// thread count, provided the measurement is *stationary*: it must not
-// derive metrics from MeasureContext::now_s (in parallel mode now_s is
-// the campaign start time, and final timestamps are reconstructed during
+// The output is therefore bit-identical at any worker count and window
+// size, provided the measurement is *stationary*: it must not derive
+// metrics from MeasureContext::now_s (with several workers now_s is the
+// campaign start time, and final timestamps are reconstructed during
 // the merge).  Time-dependent simulations (DVFS governors, scheduler
-// perturbation windows) should keep threads == 1.
+// perturbation windows) should run on one worker.
 //
-// Parallel windows execute on a persistent core::WorkerPool: the pool is
-// created once per run()/run_opaque() call (or shared across calls via
-// Options::pool) and woken per window, so per-window latency is a
-// condition-variable broadcast, not a thread spawn/join.
-//
-// A second entry point, run_opaque(), emulates how the benchmarks
-// criticized by the paper behave: it ignores the plan's randomized order
-// (sorting runs by cell, i.e. a sequential parameter sweep) and keeps only
-// online mean/standard-deviation summaries per cell.  It exists so the
-// ablation studies can quantify exactly what that style of tool loses.
-// True to form, it aggregates *online*: measurements stream into per-cell
-// Welford accumulators (sequentially, or window by window in plan order
-// when parallel), so its resident state is one execution window of
-// results plus the accumulators -- never the whole campaign.
+// run_opaque() emulates how the benchmarks criticized by the paper
+// behave: it ignores the plan's randomized order (sorting runs by cell,
+// i.e. a sequential parameter sweep) and keeps only online
+// mean/standard-deviation summaries per cell.  It exists so the ablation
+// studies can quantify exactly what that style of tool loses.  True to
+// form, it aggregates *online*: each window's measurements stream into
+// per-cell Welford accumulators in sweep order, so its resident state is
+// one window of results plus the accumulators -- never the whole
+// campaign.
 
 #include <functional>
 #include <iosfwd>
@@ -78,7 +83,7 @@ struct MeasureContext {
   double now_s = 0.0;        ///< simulated wall-clock time at run start
   std::size_t sequence = 0;  ///< execution order index
   Rng* rng = nullptr;        ///< per-run random stream (never null)
-  std::size_t worker = 0;    ///< worker executing the run (0 if sequential)
+  std::size_t worker = 0;    ///< worker executing the run (0 if one worker)
 };
 
 /// Result of one measurement.
@@ -96,12 +101,12 @@ using MeasureFn =
 /// each worker can own private mutable state (e.g. a simulator replica).
 using MeasureFactory = std::function<MeasureFn(std::size_t worker)>;
 
-/// Execution telemetry for one run()/run_range() call: per-window
-/// wall-clock and worker busy time, collected only when a collector is
-/// attached (Options::window_stats -- Campaign attaches one so archived
-/// bundles carry it).  A "window" is one sink batch: the unit the
-/// parallel path schedules and merges.  Occupancy is measured busy time
-/// over the pool's capacity for the measured wall time -- 1.0 means
+/// Execution telemetry for one engine call: per-window wall-clock and
+/// worker busy time, collected only when a collector is attached
+/// (Options::window_stats -- Campaign attaches one so archived bundles
+/// carry it).  A "window" is one sink batch: the unit the engine
+/// schedules and merges.  Occupancy is measured busy time over the
+/// pool's capacity for the measured wall time -- 1.0 means
 /// every worker measured for the full window, lower means merge/sink
 /// stalls or load imbalance.
 struct WindowStats {
@@ -151,29 +156,23 @@ class Engine {
     std::uint64_t seed = 42;
     /// Initial simulated wall-clock value.
     double start_time_s = 0.0;
-    /// Worker threads for campaign execution.  1 = sequential (default);
-    /// 0 = one per hardware thread.  See the determinism contract in the
-    /// header comment.
+    /// Worker threads for campaign execution.  1 = inline on the calling
+    /// thread (default); 0 = one per hardware thread.  See the
+    /// determinism contract in the header comment.
     std::size_t threads = 1;
-    /// Records per RecordSink::consume() batch.  This also bounds the
-    /// engine's resident record buffer when streaming: in parallel mode
-    /// the plan is executed in windows of this many runs, so at most one
-    /// window of results + one batch of records is ever held.  Larger
-    /// batches amortize sink overhead; smaller ones tighten the memory
-    /// bound.
+    /// Runs per execution window, and so records per
+    /// RecordSink::consume() batch.  Every call executes the plan in
+    /// windows of this many runs, so at most one window of results + one
+    /// batch of records is ever held (run_opaque: one window of results).
+    /// Larger windows amortize sink and wake-up overhead; smaller ones
+    /// tighten the memory bound.  Output is bit-identical at any size.
     std::size_t sink_batch = 4096;
-    /// Runs per execution window in parallel opaque mode.  Bounds
-    /// run_opaque's resident MeasureResult staging buffer exactly the
-    /// way sink_batch bounds the white-box streaming path (the summaries
-    /// are bit-identical at any window size, since windows merge into
-    /// the accumulators in plan order).  0 = use sink_batch.
-    std::size_t opaque_window = 0;
     /// Optional long-lived pool shared across calls (and across Engine
     /// instances, e.g. one pool for every campaign of a cluster report).
     /// When set it supersedes `threads`: the engine shards over
     /// pool->size() workers (clamped to the plan size, like `threads`)
     /// and submits windows to it instead of creating its own.  A
-    /// one-worker pool leaves the engine on the sequential path (which
+    /// one-worker pool runs windows inline on the calling thread (which
     /// also serves time-dependent measurements).
     std::shared_ptr<core::WorkerPool> pool;
     /// Timestamp model (see Clock).  kIndexed is required for
@@ -185,8 +184,8 @@ class Engine {
     /// Only fires in builds with CALIPERS_FAULT_INJECTION.
     std::string faults;
     /// Optional execution-telemetry collector, reset and refilled by
-    /// every run()/run_range() call.  Costs two steady-clock reads per
-    /// run when attached, nothing when null (the default).
+    /// every run()/run_range()/run_opaque() call.  Costs two steady-clock
+    /// reads per run when attached, nothing when null (the default).
     std::shared_ptr<WindowStats> window_stats;
   };
 
@@ -209,6 +208,11 @@ class Engine {
   /// Resolves an Options::threads request (0 -> hardware concurrency).
   static std::size_t resolve_threads(std::size_t requested) noexcept;
 
+  /// The number of workers a call over `plan_runs` runs shards over: the
+  /// shared pool's size when Options::pool is set, else Options::threads
+  /// resolved, clamped to the plan size either way.  1 runs inline.
+  std::size_t workers_for(std::size_t plan_runs) const;
+
   /// White-box mode: executes the plan in plan order, returns every raw
   /// record.  With threads > 1 the shared callable is invoked from all
   /// workers concurrently and must be thread-safe; stateful measurements
@@ -220,9 +224,8 @@ class Engine {
   /// most Options::sink_batch records each) to `sink` instead of
   /// materializing a RawTable, then close()s the sink.  Output is
   /// byte-for-byte what the RawTable overloads would have archived, at
-  /// any thread count; in parallel mode the plan is executed in
-  /// sink_batch-sized windows so resident state stays bounded regardless
-  /// of campaign size.
+  /// any thread count; the plan is executed in sink_batch-sized windows
+  /// so resident state stays bounded regardless of campaign size.
   void run(const Plan& plan, const MeasureFn& measure, RecordSink& sink) const;
   void run(const Plan& plan, const MeasureFactory& factory,
            RecordSink& sink) const;
@@ -243,35 +246,13 @@ class Engine {
   /// every measurement into online per-cell Welford accumulators, and
   /// throws the raw data away.  Returned summaries are all an opaque
   /// tool would have reported.  Resident state is bounded by one
-  /// execution window of MeasureResults (Options::opaque_window) plus
-  /// the accumulators -- never the full campaign.
+  /// execution window of MeasureResults (Options::sink_batch) plus the
+  /// accumulators -- never the full campaign.
   OpaqueSummary run_opaque(const Plan& plan, const MeasureFn& measure) const;
   OpaqueSummary run_opaque(const Plan& plan,
                            const MeasureFactory& factory) const;
 
  private:
-  /// The number of workers a parallel call shards over: the shared
-  /// pool's size when Options::pool is set, else Options::threads
-  /// resolved and clamped to the plan size.  <= 1 means sequential.
-  std::size_t parallelism(std::size_t plan_runs) const;
-
-  /// Executes order[begin, end) on `pool`, sharded round-robin over the
-  /// pre-built worker callables, staging per-position results into
-  /// results[0, end - begin).  `seeds[k]` is the pre-split stream seed of
-  /// order[begin + k].  `sequence_is_position` selects which index the
-  /// context reports: the position in `order` (opaque sweep) or the
-  /// run's own plan index (white-box mode).  Throws the lowest-position
-  /// failure of the window; the pool stays reusable.  When
-  /// `worker_busy_s` is non-null (one slot per worker) each run's
-  /// measurement wall-clock is accumulated into its worker's slot.
-  void execute_window(core::WorkerPool& pool,
-                      const std::vector<PlannedRun>& order, std::size_t begin,
-                      std::size_t end, const std::vector<std::uint64_t>& seeds,
-                      bool sequence_is_position,
-                      const std::vector<MeasureFn>& measures,
-                      std::vector<MeasureResult>& results,
-                      std::vector<double>* worker_busy_s = nullptr) const;
-
   std::vector<std::string> metric_names_;
   Options options_;
 };

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -175,8 +176,16 @@ std::optional<std::string> read_frame(int fd) {
                         " bytes exceeds the " +
                         std::to_string(kMaxFrameBytes) + " byte limit");
   }
-  std::string payload(length, '\0');
-  if (length > 0) read_exact(fd, payload.data(), length, nullptr);
+  // The length is the peer's claim, so the payload grows one bounded
+  // chunk at a time as bytes arrive: a peer that claims kMaxFrameBytes
+  // and then hangs up costs one chunk, not the claimed length.
+  constexpr std::size_t kReadChunk = 64u << 10;
+  std::string payload;
+  while (payload.size() < length) {
+    const std::size_t at = payload.size();
+    payload.resize(at + std::min<std::size_t>(kReadChunk, length - at));
+    read_exact(fd, payload.data() + at, payload.size() - at, nullptr);
+  }
   CAL_COUNT("serve.frames_read", 1);
   CAL_COUNT("serve.frame_bytes_read", sizeof header + payload.size());
   return payload;

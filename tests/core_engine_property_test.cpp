@@ -108,23 +108,16 @@ TEST(EngineProperty, RawAndOpaqueCsvBitIdenticalAcrossThreadsAndBatches) {
   }
 }
 
-TEST(EngineProperty, OpaqueWindowKnobDoesNotChangeSummaries) {
+TEST(EngineProperty, OpaqueWindowSizeDoesNotChangeSummaries) {
   Rng gen(0x0B5C0DE);
   for (std::size_t p = 0; p < 6; ++p) {
     const Plan plan = random_plan(gen, 2000 + p);
     const std::string ref = opaque_csv(plan, 1, 4096);
+    // sink_batch sets the opaque window size too.
     for (const std::size_t window : {std::size_t{1}, std::size_t{3},
                                      std::size_t{1000}}) {
-      Engine::Options options;
-      options.seed = 20260726;
-      options.threads = 4;
-      options.opaque_window = window;
-      std::ostringstream out;
-      Engine({"noisy", "second"}, options)
-          .run_opaque(plan, property_measure)
-          .write_csv(out);
-      EXPECT_EQ(out.str(), ref)
-          << "plan " << p << ", opaque_window=" << window;
+      EXPECT_EQ(opaque_csv(plan, 4, window), ref)
+          << "plan " << p << ", sink_batch=" << window;
     }
   }
 }

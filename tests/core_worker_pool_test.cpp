@@ -287,7 +287,7 @@ TEST(WorkerPool, RunIndexedHonoursNarrowWidth) {
 TEST(WorkerPoolEngine, OpaqueFailurePropagatesSweepOrderException) {
   Engine::Options options;
   options.threads = 4;
-  options.opaque_window = 5;
+  options.sink_batch = 5;
   Engine engine({"m"}, options);
   // In opaque mode the sweep re-sorts runs by cell, so the exception that
   // propagates is the earliest in *sweep* order; with every run failing,

@@ -377,6 +377,48 @@ TEST_F(ObsTraceProperty,
   }
 }
 
+// One worker runs its windows inline on the calling thread, but through
+// the same driver as the pool: every window must still emit one
+// engine.window span, one engine.window_seconds observation and one
+// engine.windows count, exactly as an eight-worker campaign does.
+TEST_F(ObsTraceProperty, EveryWorkerCountTracesEachWindowOnce) {
+  if (obs::metrics::kill_switch()) GTEST_SKIP() << "CAL_METRICS=off";
+  obs::trace::start();
+  obs::metrics::arm();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    Engine::Options options;
+    options.threads = threads;
+    options.seed = 4242;
+    options.sink_batch = 10;
+    const Plan plan = property_plan(77);
+    const std::size_t windows = (plan.size() + 9) / 10;
+    ASSERT_GT(windows, 1u);
+    std::ostringstream earlier;
+    obs::trace::flush_json(earlier);  // drain events from before this run
+    obs::metrics::reset();
+    Campaign(plan, Engine({"time_us"}, options), Metadata())
+        .run(property_factory());
+
+    std::ostringstream out;
+    obs::trace::flush_json(out);
+    const Json doc = JsonParser(out.str()).parse();
+    std::size_t window_spans = 0;
+    for (const Json& e : doc.at("traceEvents").items) {
+      if (e.at("ph").text == "X" && e.at("name").text == "engine.window") {
+        ++window_spans;
+      }
+    }
+    EXPECT_EQ(window_spans, windows) << "threads=" << threads;
+    EXPECT_EQ(obs::metrics::histogram("engine.window_seconds").count(),
+              windows)
+        << "threads=" << threads;
+    EXPECT_EQ(obs::metrics::counter("engine.windows").value(), windows)
+        << "threads=" << threads;
+    EXPECT_EQ(obs::metrics::counter("engine.runs").value(), plan.size())
+        << "threads=" << threads;
+  }
+}
+
 TEST_F(ObsTraceProperty, CampaignArchiveBytesIdenticalTracingOnVsOff) {
   const auto run_once = [&](const std::string& name, bool armed) {
     if (armed) {

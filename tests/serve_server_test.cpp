@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -165,6 +166,13 @@ class QueryServerTest : public ::testing::Test {
   std::filesystem::path root_;
   std::unique_ptr<QueryServer> server_;
 };
+
+/// The process's peak resident set so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 /// Parses one "name,value" row out of a kStats CSV body; fails the
 /// calling test when the row is absent.
@@ -357,6 +365,33 @@ TEST_F(QueryServerTest, MalformedFramesCloseTheConnectionButNotTheServer) {
     ar::put_u32le(frame, serve::kMaxFrameBytes + 1);
     ASSERT_EQ(::send(client.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(frame.size()));
+    char byte = 0;
+    EXPECT_LE(::recv(client.fd(), &byte, 1, 0), 0);
+  }
+  // A header claiming the maximum length, then a few bytes and a hang-up:
+  // the reader grows the payload as bytes arrive, so it fails with a
+  // protocol error without first committing kMaxFrameBytes (64 MiB; the
+  // peak RSS must grow by far less), and the daemon drops only that
+  // connection.
+  {
+    std::string frame;
+    ar::put_u32le(frame, serve::kFrameMagic);
+    ar::put_u32le(frame, serve::kMaxFrameBytes);
+    frame.append("abcd", 4);
+    int pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    ASSERT_EQ(::send(pair[0], frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    ::close(pair[0]);
+    const long rss_before = peak_rss_kib();
+    EXPECT_THROW(serve::read_frame(pair[1]), serve::ProtocolError);
+    EXPECT_LT(peak_rss_kib() - rss_before, 16 * 1024);
+    ::close(pair[1]);
+
+    QueryClient client = connect();
+    ASSERT_EQ(::send(client.fd(), frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
     char byte = 0;
     EXPECT_LE(::recv(client.fd(), &byte, 1, 0), 0);
   }
