@@ -1,8 +1,9 @@
 #include "core/metadata.hpp"
 
-#include <cstdio>
 #include <istream>
 #include <ostream>
+
+#include "core/value.hpp"
 
 namespace cal {
 
@@ -17,9 +18,7 @@ void Metadata::set(const std::string& key, const std::string& value) {
 }
 
 void Metadata::set(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  set(key, std::string(buf));
+  set(key, format_real(value));
 }
 
 void Metadata::set(const std::string& key, std::int64_t value) {

@@ -1,6 +1,7 @@
 #include "core/record.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
@@ -96,19 +97,60 @@ void write_raw_csv_header(std::ostream& out,
   io::write_csv_row(out, header);
 }
 
+namespace {
+
+void append_count(std::string& row, std::uint64_t v) {
+  char buf[24];
+  row.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+void append_csv_value(std::string& row, const Value& v) {
+  switch (v.kind()) {
+    case ValueKind::kInt: {
+      char buf[24];
+      row.append(buf, std::to_chars(buf, buf + sizeof buf, v.as_int()).ptr);
+      return;
+    }
+    case ValueKind::kReal: append_real(row, v.as_real()); return;
+    case ValueKind::kString: io::append_csv_cell(row, v.as_string()); return;
+  }
+}
+
+void append_raw_csv_record(std::string& row, const RawRecord& record) {
+  append_count(row, record.sequence);
+  row += ',';
+  append_count(row, record.cell_index);
+  row += ',';
+  append_count(row, record.replicate);
+  row += ',';
+  append_real(row, record.timestamp_s);
+  for (const Value& v : record.factors) {
+    row += ',';
+    append_csv_value(row, v);
+  }
+  for (const double m : record.metrics) {
+    row += ',';
+    append_real(row, m);
+  }
+  row += '\n';
+}
+
 void write_raw_csv_record(std::ostream& out, const RawRecord& record) {
-  std::vector<std::string> row = {std::to_string(record.sequence),
-                                  std::to_string(record.cell_index),
-                                  std::to_string(record.replicate),
-                                  Value(record.timestamp_s).to_string()};
-  for (const auto& v : record.factors) row.push_back(v.to_string());
-  for (const auto m : record.metrics) row.push_back(Value(m).to_string());
-  io::write_csv_row(out, row);
+  std::string row;
+  append_raw_csv_record(row, record);
+  out << row;
 }
 
 void RawTable::write_csv(std::ostream& out) const {
   write_raw_csv_header(out, factor_names_, metric_names_);
-  for (const auto& r : records_) write_raw_csv_record(out, r);
+  std::string row;
+  for (const RawRecord& r : records_) {
+    row.clear();
+    append_raw_csv_record(row, r);
+    out << row;
+  }
 }
 
 RawTable RawTable::read_csv(std::istream& in, std::size_t n_factors) {

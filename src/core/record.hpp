@@ -38,6 +38,14 @@ void write_raw_csv_header(std::ostream& out,
 /// would (Value round-trip precision for reals).
 void write_raw_csv_record(std::ostream& out, const RawRecord& record);
 
+/// Appends one raw-result CSV data row, newline included, to `row`: the
+/// buffer-reusing form of write_raw_csv_record.
+void append_raw_csv_record(std::string& row, const RawRecord& record);
+
+/// Appends `v` as one CSV cell: Value::to_string's text, quoted like
+/// io::csv_escape, with no temporary string for numbers.
+void append_csv_value(std::string& row, const Value& v);
+
 /// Columnar-with-row-records table of raw measurements.
 class RawTable {
  public:

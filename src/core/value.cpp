@@ -2,11 +2,35 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <stdexcept>
 
 namespace cal {
+
+namespace {
+
+/// Longest %.17g text: sign, 17 digits, point, "e-308".
+constexpr std::size_t kRealChars = 32;
+
+char* format_real_to(double v, char* first) noexcept {
+  // Precision 17 in general format is %.17g's choice of fixed or
+  // scientific notation and its trailing-zero trim, digit for digit.
+  return std::to_chars(first, first + kRealChars, v,
+                       std::chars_format::general, 17)
+      .ptr;
+}
+
+}  // namespace
+
+std::string format_real(double v) {
+  char buf[kRealChars];
+  return std::string(buf, format_real_to(v, buf));
+}
+
+void append_real(std::string& out, double v) {
+  char buf[kRealChars];
+  out.append(buf, format_real_to(v, buf));
+}
 
 ValueKind Value::kind() const noexcept {
   switch (data_.index()) {
@@ -43,11 +67,7 @@ std::string Value::to_string() const {
   switch (kind()) {
     case ValueKind::kInt:
       return std::to_string(std::get<std::int64_t>(data_));
-    case ValueKind::kReal: {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", std::get<double>(data_));
-      return buf;
-    }
+    case ValueKind::kReal: return format_real(std::get<double>(data_));
     case ValueKind::kString:
       return std::get<std::string>(data_);
   }

@@ -65,6 +65,15 @@ class Value {
   std::variant<std::int64_t, double, std::string> data_;
 };
 
+/// The one double formatter: round-trip text byte-identical to
+/// printf("%.17g") -- inf, -inf, nan, -nan, -0 and denormals included --
+/// through std::to_chars, with no format parsing and no locale.  Value,
+/// Metadata, bbx manifests and every CSV writer render reals with it.
+std::string format_real(double v);
+
+/// Appends format_real(v) to `out` without a temporary string.
+void append_real(std::string& out, double v);
+
 /// Hasher for Value and std::vector<Value> group-by keys.
 struct ValueHash {
   std::size_t operator()(const Value& v) const noexcept { return v.hash(); }

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/value.hpp"
+
 namespace cal::io::archive {
 
 namespace {
@@ -50,11 +52,7 @@ void write_string_array(std::ostream& out,
 
 /// Round-trip numeric form: integers print without a point, everything
 /// else with enough digits that std::stod reproduces the double exactly.
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+std::string json_number(double v) { return format_real(v); }
 
 void write_zone_entry(std::ostream& out, const ColumnStats& stats) {
   switch (stats.kind) {

@@ -7,28 +7,45 @@
 
 namespace cal::io {
 
+namespace {
+
+/// A leading '#' is quoted so the cell cannot collide with the comment
+/// syntax plan files use in their preamble.
+bool needs_quotes(std::string_view cell) {
+  return cell.find_first_of(",\"\n\r") != std::string_view::npos ||
+         (!cell.empty() && cell.front() == '#');
+}
+
+}  // namespace
+
 std::string csv_escape(const std::string& cell) {
-  // A leading '#' is quoted so the cell cannot collide with the comment
-  // syntax plan files use in their preamble.
-  const bool needs_quotes =
-      cell.find_first_of(",\"\n\r") != std::string::npos ||
-      (!cell.empty() && cell.front() == '#');
-  if (!needs_quotes) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
+  if (!needs_quotes(cell)) return cell;
+  std::string out;
+  append_csv_cell(out, cell);
   return out;
 }
 
-void write_csv_row(std::ostream& out, const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out << ',';
-    out << csv_escape(cells[i]);
+void append_csv_cell(std::string& row, std::string_view cell) {
+  if (!needs_quotes(cell)) {
+    row.append(cell);
+    return;
   }
-  out << '\n';
+  row += '"';
+  for (const char c : cell) {
+    if (c == '"') row += '"';
+    row += c;
+  }
+  row += '"';
+}
+
+void write_csv_row(std::ostream& out, const std::vector<std::string>& cells) {
+  std::string row;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) row += ',';
+    append_csv_cell(row, cells[i]);
+  }
+  row += '\n';
+  out << row;
 }
 
 std::vector<std::string> parse_csv_line(const std::string& line) {

@@ -8,6 +8,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cal::io {
@@ -16,6 +17,10 @@ namespace cal::io {
 /// starts with '#' (so a '#'-leading data cell can never be mistaken for
 /// a metadata comment line by a reader).
 std::string csv_escape(const std::string& cell);
+
+/// Appends `cell` to a row under construction, quoted as csv_escape
+/// would quote it.  Row writers build each row in one reused buffer.
+void append_csv_cell(std::string& row, std::string_view cell);
 
 /// Writes one CSV row (adds the trailing newline).
 void write_csv_row(std::ostream& out, const std::vector<std::string>& cells);

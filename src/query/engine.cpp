@@ -1,6 +1,7 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -547,39 +549,192 @@ class Scan {
   BlockPlan plan_;
 };
 
-// --- grouping: per-block partials, merged in plan order ---------------------
+// --- grouping: packed keys per block, partials merged in plan order --------
 
-/// Group accumulator map shared by aggregate() and group_samples():
-/// first-appearance keyed slots, deterministic per block.
+/// Dense u32 codes for u64 keys in first-seen order: an open-addressed
+/// table (linear probing, power-of-two capacity, at most half full).
+/// Codes come from a caller's counter, so several tables can share one
+/// code space.
+class CodeTable {
+ public:
+  std::uint32_t code(std::uint64_t key, std::uint32_t& next) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.code == kEmpty) {
+        slot = {key, next++};
+        ++used_;
+        return slot.code;
+      }
+      if (slot.key == key) return slot.code;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t code = kEmpty;
+  };
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    const std::size_t capacity = old.empty() ? 16 : 2 * old.size();
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (const Slot& slot : old) {
+      if (slot.code == kEmpty) continue;
+      std::size_t i = home(slot.key);
+      while (slots_[i].code != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
+};
+
+/// One group column's typed table for one block: equal values under
+/// Value == get equal codes, so a code stands for a boxed fold's group
+/// key.  Numbers a double holds exactly key by their double's bits,
+/// with -0.0 folded onto +0.0, so int 1, real 1.0 and +-0 each collapse
+/// by value; ints a double cannot hold (past 2^53) key by their exact
+/// value; every NaN gets a code of its own (NaN != NaN, so the boxed
+/// fold opened a group per NaN record); strings key by content.
+class LevelCodes {
+ public:
+  std::uint32_t size() const noexcept { return next_; }
+
+  std::uint32_t of_real(double v) {
+    if (std::isnan(v)) return next_++;
+    if (v == 0.0) v = 0.0;
+    return exact_.code(std::bit_cast<std::uint64_t>(v), next_);
+  }
+
+  std::uint32_t of_int(std::int64_t v) {
+    const double d = static_cast<double>(v);
+    if (d != 0x1p63 && static_cast<std::int64_t>(d) == v) return of_real(d);
+    return wide_ints_.code(static_cast<std::uint64_t>(v), next_);
+  }
+
+  std::uint32_t of_value(const Value& v) {
+    switch (v.kind()) {
+      case ValueKind::kInt: return of_int(v.as_int());
+      case ValueKind::kReal: return of_real(v.as_real());
+      case ValueKind::kString: break;
+    }
+    const auto [it, added] = strings_.try_emplace(v.as_string(), next_);
+    if (added) ++next_;
+    return it->second;
+  }
+
+ private:
+  CodeTable exact_, wide_ints_;
+  std::unordered_map<std::string_view, std::uint32_t> strings_;
+  std::uint32_t next_ = 0;
+};
+
+/// Per-block partial of a group-by: group keys boxed once per group, in
+/// first-appearance order, with their accumulators.
 template <typename Acc>
 struct GroupedPartial {
   std::vector<std::vector<Value>> keys;
-  std::unordered_map<std::vector<Value>, std::size_t, ValueHash> index;
   std::vector<Acc> groups;
 
-  Acc& slot(std::vector<Value>&& key) {
-    if (const auto it = index.find(key); it != index.end()) {
-      return groups[it->second];
-    }
-    index.emplace(key, groups.size());
-    keys.push_back(std::move(key));
-    groups.emplace_back();
-    return groups.back();
-  }
-
-  /// Adds every record of `d` the mask admits to its group's slot via
-  /// `add(acc, record)`; group keys box through Column::value_at.
+  /// Adds every record of `d` the mask admits to its group via
+  /// `add(acc, record)`, in record order -- the additions, group order
+  /// and keys a fold over boxed Value keys would make.  Each record's
+  /// key is the tuple of its group columns' LevelCodes, packed into one
+  /// dense u32 (mixed radix while the key space stays within a few
+  /// times the block, renumbered through a CodeTable past that), which
+  /// indexes a flat slot array.
   template <typename Add>
   void fold(const DecodedColumns& d, const std::vector<char>* mask,
             const std::vector<std::size_t>& group_ids, Add&& add) {
-    std::vector<Value> key;
-    for (std::size_t i = 0; i < d.records; ++i) {
-      if (mask && !(*mask)[i]) continue;
-      key.clear();
-      key.reserve(group_ids.size());
-      for (const std::size_t id : group_ids) key.push_back(d[id].value_at(i));
-      add(slot(std::move(key)), i);
+    const std::size_t n = d.records;
+    const auto admitted = [&](std::size_t i) { return !mask || (*mask)[i]; };
+    const std::uint64_t dense_limit = 2 * static_cast<std::uint64_t>(n) + 256;
+    std::vector<std::uint32_t> key(n, 0), codes(n, 0);
+    std::uint64_t span = 1;  // keys lie in [0, span)
+    for (const std::size_t id : group_ids) {
+      const std::uint32_t levels = column_codes(d[id], admitted, codes);
+      if (span * levels <= dense_limit) {
+        for (std::size_t i = 0; i < n; ++i) {
+          key[i] = key[i] * levels + codes[i];
+        }
+        span *= levels;
+        continue;
+      }
+      CodeTable packed;
+      std::uint32_t next = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (admitted(i)) {
+          key[i] = packed.code(std::uint64_t{key[i]} * levels + codes[i], next);
+        }
+      }
+      span = next;
     }
+
+    constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+    std::vector<std::uint32_t> group_of(span, kNoGroup);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!admitted(i)) continue;
+      std::uint32_t& g = group_of[key[i]];
+      if (g == kNoGroup) {
+        g = static_cast<std::uint32_t>(groups.size());
+        groups.emplace_back();
+        std::vector<Value>& boxed = keys.emplace_back();
+        boxed.reserve(group_ids.size());
+        for (const std::size_t id : group_ids) {
+          boxed.push_back(d[id].value_at(i));
+        }
+      }
+      add(groups[g], i);
+    }
+  }
+
+ private:
+  /// Writes each admitted record's code of `col` into `codes` (others
+  /// keep stale entries) and returns how many codes there are.  A coded
+  /// column maps each level once -- a dictionary's levels are its
+  /// strings, a mixed column's are its records.
+  template <typename Admitted>
+  static std::uint32_t column_codes(const ar::Column& col,
+                                    const Admitted& admitted,
+                                    std::vector<std::uint32_t>& codes) {
+    using Kind = ar::Column::Kind;
+    LevelCodes table;
+    const std::size_t n = codes.size();
+    switch (col.kind) {
+      case Kind::kI64:
+        for (std::size_t i = 0; i < n; ++i) {
+          if (admitted(i)) codes[i] = table.of_int(col.i64[i]);
+        }
+        break;
+      case Kind::kF64:
+        for (std::size_t i = 0; i < n; ++i) {
+          if (admitted(i)) codes[i] = table.of_real(col.f64[i]);
+        }
+        break;
+      case Kind::kCoded: {
+        std::vector<std::uint32_t> level_code(col.levels.size());
+        for (std::size_t k = 0; k < level_code.size(); ++k) {
+          level_code[k] = table.of_value(col.levels[k]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (admitted(i)) codes[i] = level_code[col.codes[i]];
+        }
+        break;
+      }
+    }
+    return table.size();
   }
 };
 
@@ -591,9 +746,16 @@ template <typename Acc>
 std::vector<std::pair<std::vector<Value>, Acc>> merge_partials(
     std::vector<GroupedPartial<Acc>>& slots) {
   GroupedPartial<Acc> merged;
+  std::unordered_map<std::vector<Value>, std::size_t, ValueHash> index;
   for (GroupedPartial<Acc>& partial : slots) {
     for (std::size_t g = 0; g < partial.keys.size(); ++g) {
-      merged.slot(std::move(partial.keys[g])).merge(partial.groups[g]);
+      const auto [it, added] =
+          index.try_emplace(partial.keys[g], merged.groups.size());
+      if (added) {
+        merged.keys.push_back(std::move(partial.keys[g]));
+        merged.groups.emplace_back();
+      }
+      merged.groups[it->second].merge(partial.groups[g]);
     }
   }
   std::vector<std::size_t> order(merged.keys.size());
@@ -677,12 +839,22 @@ void QueryResult::write_csv(std::ostream& out) const {
   std::vector<std::string> header = group_names;
   header.insert(header.end(), value_names.begin(), value_names.end());
   io::write_csv_row(out, header);
-  std::vector<std::string> cells;
+  std::string line;
   for (const Row& row : rows) {
-    cells.clear();
-    for (const Value& v : row.key) cells.push_back(v.to_string());
-    for (const double v : row.values) cells.push_back(Value(v).to_string());
-    io::write_csv_row(out, cells);
+    line.clear();
+    const char* sep = "";
+    for (const Value& v : row.key) {
+      line += sep;
+      append_csv_value(line, v);
+      sep = ",";
+    }
+    for (const double v : row.values) {
+      line += sep;
+      append_real(line, v);
+      sep = ",";
+    }
+    line += '\n';
+    out << line;
   }
 }
 
@@ -738,7 +910,8 @@ QueryResult BundleQuery::aggregate(const QuerySpec& spec,
                    mask ? kernels.mask_count(mask->data(), d.records)
                         : d.records;
                if (matched == 0) return;
-               AggAcc& acc = partial.slot({});
+               partial.keys.emplace_back();
+               AggAcc& acc = partial.groups.emplace_back();
                acc.metrics.resize(metric_ids.size());
                acc.rows = matched;
                for (std::size_t m = 0; m < metric_ids.size(); ++m) {
@@ -755,11 +928,15 @@ QueryResult BundleQuery::aggregate(const QuerySpec& spec,
                }
                return;
              }
+             std::vector<const double*> metrics;
+             for (const std::size_t id : metric_ids) {
+               metrics.push_back(d[id].f64.data());
+             }
              partial.fold(d, mask, group_ids, [&](AggAcc& acc, std::size_t i) {
-               acc.metrics.resize(metric_ids.size());
+               acc.metrics.resize(metrics.size());
                ++acc.rows;
-               for (std::size_t m = 0; m < metric_ids.size(); ++m) {
-                 acc.metrics[m].add(d[metric_ids[m]].f64[i]);
+               for (std::size_t m = 0; m < metrics.size(); ++m) {
+                 acc.metrics[m].add(metrics[m][i]);
                }
              });
            });

@@ -1,5 +1,6 @@
 #include "sim/mem/address_space.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace cal::sim::mem {
@@ -14,6 +15,9 @@ Buffer::Buffer(std::vector<std::uint32_t> frames, std::size_t page_bytes,
   if (size_ == 0) throw std::invalid_argument("Buffer: zero size");
   if (offset_ + size_ > frames_.size() * page_bytes_) {
     throw std::invalid_argument("Buffer: offset+size exceeds backing pages");
+  }
+  if (std::has_single_bit(page_bytes_)) {
+    page_shift_ = static_cast<unsigned>(std::countr_zero(page_bytes_));
   }
 }
 

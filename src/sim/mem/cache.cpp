@@ -15,20 +15,26 @@ Cache::Cache(const CacheLevelSpec& spec)
     throw std::invalid_argument(
         "Cache: size must be a multiple of line_bytes * ways");
   }
-  pow2_ = std::has_single_bit(spec_.line_bytes) && std::has_single_bit(sets_);
-  if (pow2_) {
-    line_shift_ = static_cast<unsigned>(std::countr_zero(spec_.line_bytes));
-    set_shift_ = static_cast<unsigned>(std::countr_zero(sets_));
-    set_mask_ = sets_ - 1;
+  index_.line_bytes = spec_.line_bytes;
+  index_.sets = sets_;
+  index_.pow2 =
+      std::has_single_bit(spec_.line_bytes) && std::has_single_bit(sets_);
+  if (index_.pow2) {
+    index_.line_shift =
+        static_cast<unsigned>(std::countr_zero(spec_.line_bytes));
+    index_.set_shift = static_cast<unsigned>(std::countr_zero(sets_));
+    index_.set_mask = sets_ - 1;
   }
-  tags_.assign(sets_ * ways_, 0);
-  fill_.assign(sets_, 0);
 }
 
-bool Cache::access(std::uint64_t paddr) noexcept {
-  const std::uint64_t line = line_of(paddr);
-  const std::size_t set = set_of_line(line);
-  const std::uint64_t tag = tag_of_line(line);
+bool Cache::access(std::uint64_t paddr) {
+  if (fill_.empty()) [[unlikely]] {
+    tags_.assign(sets_ * ways_, 0);
+    fill_.assign(sets_, 0);
+  }
+  const std::uint64_t line = index_.line_of(paddr);
+  const std::size_t set = index_.set_of_line(line);
+  const std::uint64_t tag = index_.tag_of_line(line);
   std::uint64_t* const ways = tags_.data() + set * ways_;
   const std::size_t fill = fill_[set];
 
@@ -54,5 +60,18 @@ bool Cache::access(std::uint64_t paddr) noexcept {
 }
 
 void Cache::flush() noexcept { std::fill(fill_.begin(), fill_.end(), 0u); }
+
+void Cache::append_state(std::vector<std::uint64_t>& out) const {
+  if (fill_.empty()) {  // never accessed: every set empty
+    out.insert(out.end(), sets_, 0);
+    return;
+  }
+  for (std::size_t set = 0; set < sets_; ++set) {
+    const std::size_t fill = fill_[set];
+    out.push_back(fill);
+    const auto first = tags_.begin() + static_cast<std::ptrdiff_t>(set * ways_);
+    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(fill));
+  }
+}
 
 }  // namespace cal::sim::mem

@@ -36,62 +36,68 @@ ParallelResult measure_parallel(const MachineSpec& machine,
   const Buffer buffer(std::move(frames), machine.page_bytes,
                       config.size_bytes);
   const std::size_t count = config.size_bytes / stride_bytes;
-  const auto cost = hierarchy.steady_state_cost(buffer, stride_bytes, count);
+  Hierarchy::RunCost cost;
+  hierarchy.run_cost(buffer, stride_bytes, count, config.nloops, cost);
 
   const double issue_cycles =
       issue_cycles_per_access(machine.issue, config.kernel) *
       static_cast<double>(count);
-
-  // Split the steady-state stalls into private-level and memory stalls.
-  const std::size_t memory_level = hierarchy.level_count();
-  const auto& steady_hits = cost.steady.hits_by_level;
-  double private_stall = 0.0;
-  double memory_stall = 0.0;
-  double memory_fetches = 0.0;
-  for (std::size_t level = 0; level <= memory_level; ++level) {
-    const double stall = hierarchy.stall_for_level(level) *
-                         static_cast<double>(steady_hits[level]);
-    if (level == memory_level) {
-      memory_stall = stall;
-      memory_fetches = static_cast<double>(steady_hits[level]);
-    } else {
-      private_stall += stall;
-    }
-  }
-
-  // Uncontended per-pass cycles and the demanded memory-line rate.
-  const double solo_cycles = issue_cycles + private_stall + memory_stall;
-  const double demand_per_thread =
-      solo_cycles > 0.0 ? memory_fetches / solo_cycles : 0.0;
   const double capacity = machine.memory_lines_per_cycle;
+  const std::size_t memory_level = hierarchy.level_count();
+
+  // One pass under contention: its uncontended cycles, and the memory
+  // interface's floor -- it serves at most `capacity` lines per cycle
+  // across all threads, so a pass can never complete faster than its
+  // share of line fetches allows.  This caps the aggregate exactly at
+  // the roofline.
+  struct Pass {
+    double solo = 0.0;
+    double floor = 0.0;
+    double fetches = 0.0;
+    double cycles() const { return std::max(solo, floor); }
+    double waits() const { return floor > solo ? fetches : 0.0; }
+  };
+  const auto contended = [&](double solo, const PassCost& pass) {
+    Pass out;
+    out.solo = solo;
+    out.fetches = static_cast<double>(pass.hits_by_level[memory_level]);
+    out.floor = capacity > 0.0
+                    ? static_cast<double>(threads) * out.fetches / capacity
+                    : 0.0;
+    return out;
+  };
+
+  // A later pass's solo cycles sum its stalls per level, private levels
+  // first, then memory.
+  const auto later_pass = [&](const PassCost& pass) {
+    double private_stall = 0.0;
+    double memory_stall = 0.0;
+    for (std::size_t level = 0; level <= memory_level; ++level) {
+      const double stall = hierarchy.stall_for_level(level) *
+                           static_cast<double>(pass.hits_by_level[level]);
+      (level == memory_level ? memory_stall : private_stall) += stall;
+    }
+    return contended(issue_cycles + private_stall + memory_stall, pass);
+  };
+
+  const Pass cold = contended(
+      issue_cycles + static_cast<double>(cost.cold.stall_cycles), cost.cold);
+  const Pass steady = later_pass(cost.steady());
+  double total_cycles = cold.cycles();
+  double waits = cold.waits();
+  for (const Hierarchy::RunCost::Repeat& later : cost.later) {
+    const Pass pass = later_pass(later.cost);
+    total_cycles += static_cast<double>(later.passes) * pass.cycles();
+    waits += static_cast<double>(later.passes) * pass.waits();
+  }
+  const double demand_per_thread =
+      steady.solo > 0.0 ? steady.fetches / steady.solo : 0.0;
   const double pressure =
       capacity > 0.0
           ? demand_per_thread * static_cast<double>(threads) / capacity
           : 0.0;
-
-  // Contended per-pass cycles: the memory interface serves at most
-  // `capacity` lines per cycle across all threads, so a pass can never
-  // complete faster than its share of line fetches allows.  This caps
-  // the aggregate exactly at the roofline.
-  const double floor_cycles =
-      capacity > 0.0
-          ? static_cast<double>(threads) * memory_fetches / capacity
-          : 0.0;
-  const double steady_cycles = std::max(solo_cycles, floor_cycles);
   const double contention =
-      solo_cycles > 0.0 ? steady_cycles / solo_cycles : 1.0;
-
-  const double cold_solo =
-      issue_cycles + static_cast<double>(cost.cold.stall_cycles);
-  const double cold_fetches =
-      static_cast<double>(cost.cold.hits_by_level[memory_level]);
-  const double cold_floor =
-      capacity > 0.0
-          ? static_cast<double>(threads) * cold_fetches / capacity
-          : 0.0;
-  const double cold_cycles = std::max(cold_solo, cold_floor);
-  const double total_cycles =
-      cold_cycles + static_cast<double>(config.nloops - 1) * steady_cycles;
+      steady.solo > 0.0 ? steady.cycles() / steady.solo : 1.0;
 
   const double seconds = total_cycles / (machine.freq.max_ghz * 1e9);
   const double bytes = static_cast<double>(count) *
@@ -103,12 +109,7 @@ ParallelResult measure_parallel(const MachineSpec& machine,
     // participating core's counter file.  Cache events come from the
     // simulated passes via the hierarchy's own accounting; contention
     // waits are the line fetches that queued when the capacity floor
-    // bound the pass.
-    const double steady_waits =
-        floor_cycles > solo_cycles ? memory_fetches : 0.0;
-    const double cold_waits = cold_floor > cold_solo ? cold_fetches : 0.0;
-    const double waits =
-        cold_waits + static_cast<double>(config.nloops - 1) * steady_waits;
+    // bound a pass.
     const double instructions =
         issue_instructions_per_access(machine.issue, config.kernel) *
         static_cast<double>(count) * static_cast<double>(config.nloops);
@@ -118,8 +119,7 @@ ParallelResult measure_parallel(const MachineSpec& machine,
       pmu::PmuFile& file = pmu->core(t);
       const pmu::PmuSnapshot before = file.snapshot();
       hierarchy.attach_pmu(&file);
-      hierarchy.account_pass(cost.cold, 1);
-      hierarchy.account_pass(cost.steady, config.nloops - 1);
+      hierarchy.account_run(cost);
       file.count(pmu::Event::kCycles,
                  static_cast<std::uint64_t>(std::llround(total_cycles)));
       file.count(pmu::Event::kInstructions,

@@ -3,16 +3,18 @@
 //
 // Drives the per-level Cache models with an access stream and charges the
 // per-level miss stalls from the machine spec.  stream_pass() simulates
-// one MultiMAPS-style strided pass over a buffer access by access.  A
-// measurement with nloops repetitions is charged
-//     pass1 + (nloops - 1) * pass2
-// which is exact when every pass after the first costs the same.  That
-// holds on the paper's machines (tests/sim_hierarchy_test asserts pass 2
-// == pass 3 on a small one), but not on every geometry: with an L2 no
-// larger than L1 whose sets cross L1's, pass 3 can differ from pass 2.
-// steady_state_cost() returns pass1 and pass2 for a run that starts from
+// one MultiMAPS-style strided pass over a buffer access by access.
+// steady_state_cost() returns pass 1 and pass 2 of a run that starts from
 // empty caches -- in closed form, without touching the tag arrays, when
 // the stream visits every physical line in one contiguous run per pass.
+//
+// run_cost() prices all nloops passes.  On a nested geometry (one line
+// size; set counts that divide each other, as on all four paper
+// machines) every pass after the first costs what pass 2 costs, so a run
+// is pass1 + (nloops - 1) * pass2.  Where set indices cross -- an L2 no
+// larger than L1 gathering several L1 sets, say -- pass 3 can differ from
+// pass 2, so run_cost simulates passes until the replacement state
+// repeats and extrapolates the cycle exactly.
 
 #include <cstdint>
 #include <vector>
@@ -36,7 +38,7 @@ class Hierarchy {
 
   /// Accesses one physical address; returns the level index where it hit
   /// (0 = L1, caches().size() = main memory).
-  std::size_t access(std::uint64_t paddr) noexcept;
+  std::size_t access(std::uint64_t paddr);
 
   /// Stall cycles charged for a hit at `level`.
   double stall_for_level(std::size_t level) const noexcept;
@@ -48,13 +50,13 @@ class Hierarchy {
   /// table is walked once per page, and a run of accesses that stays in
   /// the L1 line just touched is counted as one step of k L1 hits.
   PassCost stream_pass(const Buffer& buffer, std::size_t stride_bytes,
-                       std::size_t count) noexcept;
+                       std::size_t count);
 
   /// Allocation-free variant for hot loops: reuses `out.hits_by_level`
   /// capacity, so a caller that keeps the PassCost across measurements
   /// pays the vector allocation once instead of once per pass.
   void stream_pass(const Buffer& buffer, std::size_t stride_bytes,
-                   std::size_t count, PassCost& out) noexcept;
+                   std::size_t count, PassCost& out);
 
   /// Cold + steady-state pass costs for the same stream.
   struct SteadyCost {
@@ -83,6 +85,43 @@ class Hierarchy {
   void steady_state_cost(const Buffer& buffer, std::size_t stride_bytes,
                          std::size_t count, SteadyCost& out);
 
+  /// Every pass of an nloops run from empty caches.
+  struct RunCost {
+    PassCost cold;  ///< pass 1
+    struct Repeat {
+      PassCost cost;
+      std::uint64_t passes = 0;  ///< how many of passes 2..nloops cost it
+    };
+    /// The distinct costs of passes 2, 3, ... in order of first
+    /// occurrence.  The front is pass 2 (kept as a diagnostic even when
+    /// nloops == 1, with passes == 0); the counts sum to nloops - 1.
+    std::vector<Repeat> later;
+
+    const PassCost& steady() const { return later.front().cost; }
+  };
+
+  /// Prices an nloops run.  Nested geometries take steady_state_cost's
+  /// two passes (pass 2 is already the fixed point there).  Others flush
+  /// and simulate passes 2, 3, ... until the state after a pass equals
+  /// the state after an earlier pass, then count the repeating cycle out
+  /// to nloops; comparing against up to kMaxTrackedStates earlier states,
+  /// a run whose state has not repeated by then simulates every
+  /// remaining pass (still exact, only slower).  Like steady_state_cost
+  /// it counts nothing into the attached PMU (fold the result in with
+  /// account_run), and leaves the caches unspecified.
+  void run_cost(const Buffer& buffer, std::size_t stride_bytes,
+                std::size_t count, std::size_t nloops, RunCost& out);
+
+  /// account_pass over a whole run: the cold pass once and each later
+  /// cost as many times as passes cost it.
+  void account_run(const RunCost& cost) noexcept;
+
+  /// Whether the geometry nests (see the header comment).
+  bool nested() const noexcept { return nested_; }
+
+  static constexpr std::size_t kMaxLevels = 8;
+  static constexpr std::size_t kMaxTrackedStates = 16;
+
   void flush() noexcept;
 
   /// Attaches a simulated PMU file (null detaches).  Cache levels report
@@ -95,9 +134,9 @@ class Hierarchy {
   /// Folds `times` repetitions of an already-simulated pass into the
   /// attached PMU file without re-simulating it: per-level hits/misses,
   /// memory accesses, and stall cycles are all derivable from the
-  /// PassCost.  This is the counter-exact nloops extrapolation (the
-  /// steady pass costs the same every repetition).  No-op when detached
-  /// or times == 0.
+  /// PassCost, so a pass that repeats is counted exactly without being
+  /// simulated again (account_run applies it to a whole run).  No-op when
+  /// detached or times == 0.
   void account_pass(const PassCost& cost, std::uint64_t times) noexcept;
 
   std::size_t level_count() const noexcept { return caches_.size(); }
@@ -112,10 +151,15 @@ class Hierarchy {
   bool closed_form_applies(const Buffer& buffer, std::size_t stride_bytes,
                            std::size_t count);
   void closed_form_cost(const Buffer& buffer, std::size_t stride_bytes,
-                        std::size_t count, SteadyCost& out);
+                        std::size_t count, PassCost& cold, PassCost& steady);
+  /// Pass 1 and pass 2 from empty caches (steady_state_cost's work).
+  void two_pass(const Buffer& buffer, std::size_t stride_bytes,
+                std::size_t count, PassCost& cold, PassCost& steady);
+  void append_state(std::vector<std::uint64_t>& out) const;
 
   std::vector<Cache> caches_;
   std::vector<double> stall_;  ///< stall per level; last entry = memory
+  bool nested_ = false;
   pmu::PmuFile* pmu_ = nullptr;
   /// Per-level set counters of the closed form, level k's sets starting
   /// at set_base_[k]: `rem` = lines of the set not yet visited in the

@@ -98,29 +98,29 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
     throw std::logic_error("MemSystem: unknown allocation technique");
   }();
 
-  // --- Cache cost: cold pass + steady pass ----------------------------
+  // --- Cache cost: cold pass + nloops - 1 later passes -----------------
   const std::size_t count = request.size_bytes / stride_bytes;
   pmu::PmuSnapshot pmu_begin;
   if (pmu_) pmu_begin = pmu_->snapshot();
   {
     CAL_SPAN("sim.cache_cost");
-    hierarchy_.steady_state_cost(buffer, stride_bytes, count, cost_scratch_);
-    // Counter-exact nloops accounting: the machine runs the cold pass once
-    // and the steady pass nloops - 1 times.  No-ops with the PMU off.
-    hierarchy_.account_pass(cost_scratch_.cold, 1);
-    hierarchy_.account_pass(cost_scratch_.steady, request.nloops - 1);
+    hierarchy_.run_cost(buffer, stride_bytes, count, request.nloops,
+                        cost_scratch_);
+    // Counter-exact accounting of every pass.  No-op with the PMU off.
+    hierarchy_.account_run(cost_scratch_);
   }
   const auto& cost = cost_scratch_;
 
   const double issue_cpe =
       issue_cycles_per_access(machine.issue, request.kernel);
   const double issue_cycles = issue_cpe * static_cast<double>(count);
-  const double cold_cycles =
-      issue_cycles + static_cast<double>(cost.cold.stall_cycles);
-  const double steady_cycles =
-      issue_cycles + static_cast<double>(cost.steady.stall_cycles);
   double total_cycles =
-      cold_cycles + static_cast<double>(request.nloops - 1) * steady_cycles;
+      issue_cycles + static_cast<double>(cost.cold.stall_cycles);
+  for (const Hierarchy::RunCost::Repeat& later : cost.later) {
+    const double pass_cycles =
+        issue_cycles + static_cast<double>(later.cost.stall_cycles);
+    total_cycles += static_cast<double>(later.passes) * pass_cycles;
+  }
 
   // --- OS scheduler contention -----------------------------------------
   const double slowdown = scheduler_.slowdown_at(now_s);
@@ -165,8 +165,8 @@ MeasurementOutput MemSystem::measure(const MeasurementRequest& request,
   out.elapsed_s = elapsed;
   out.bandwidth_mbps = bytes / elapsed / 1e6;
   out.avg_freq_ghz = busy_s > 0.0 ? total_cycles / busy_s / 1e9 : 0.0;
-  const auto& steady_hits = cost.steady.hits_by_level;
-  const double total_acc = static_cast<double>(cost.steady.accesses);
+  const auto& steady_hits = cost.steady().hits_by_level;
+  const double total_acc = static_cast<double>(cost.steady().accesses);
   out.l1_hit_rate =
       total_acc > 0.0 ? static_cast<double>(steady_hits[0]) / total_acc : 0.0;
   out.slowdown = slowdown;

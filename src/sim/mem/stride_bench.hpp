@@ -105,7 +105,7 @@ class MemSystem {
   std::vector<std::uint32_t> big_block_frames_;
   /// Reused across measure() calls so the per-measurement cache cost
   /// allocates nothing after the first call.
-  Hierarchy::SteadyCost cost_scratch_;
+  Hierarchy::RunCost cost_scratch_;
 };
 
 }  // namespace cal::sim::mem

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <string>
+
 namespace cal {
 namespace {
 
@@ -116,6 +124,70 @@ TEST(Value, IntOrderingIsExactPastTwoTo53) {
   EXPECT_NE(a, b);
   EXPECT_LT(a, b);
   EXPECT_FALSE(b < a);
+}
+
+std::string printf_17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// format_real is the one double formatter (Value, Metadata, manifests,
+// CSV); it must keep printf's "%.17g" bytes exactly.
+TEST(FormatReal, MatchesPrintf17gOnEdgesAndRandomBitPatterns) {
+  using lim = std::numeric_limits<double>;
+  const double edges[] = {0.0,
+                          -0.0,
+                          1.0,
+                          -1.0,
+                          0.1,
+                          1.0 / 3.0,
+                          lim::min(),
+                          -lim::min(),
+                          lim::denorm_min(),
+                          -lim::denorm_min(),
+                          lim::max(),
+                          lim::lowest(),
+                          lim::infinity(),
+                          -lim::infinity(),
+                          lim::quiet_NaN(),
+                          -lim::quiet_NaN(),
+                          1e16,
+                          1e17,
+                          9999999999999998.0,
+                          99999999999999984.0,
+                          1e-5,
+                          1e-4,
+                          123456789012345678.0,
+                          9007199254740993.0,
+                          5e-324,
+                          2.2250738585072009e-308};
+  for (const double v : edges) {
+    EXPECT_EQ(format_real(v), printf_17g(v)) << printf_17g(v);
+  }
+  std::mt19937_64 rng(0xF0A7);
+  std::string appended = "x";
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    const std::string expected = printf_17g(v);
+    ASSERT_EQ(format_real(v), expected)
+        << "bits " << std::bit_cast<std::uint64_t>(v);
+    if (i % 4096 == 0) {
+      appended.resize(1);
+      append_real(appended, v);
+      ASSERT_EQ(appended, "x" + expected);
+    }
+  }
+  // Decimal-looking values too: short mantissas at every exponent.
+  for (int e = -320; e <= 308; ++e) {
+    for (const int m : {1, 5, 12, 999}) {
+      const std::string text = std::to_string(m) + "e" + std::to_string(e);
+      const double v = std::strtod(text.c_str(), nullptr);
+      ASSERT_EQ(format_real(v), printf_17g(v)) << m << "e" << e;
+    }
+  }
+  EXPECT_EQ(Value(-0.0).to_string(), "-0");
+  EXPECT_EQ(Value(lim::infinity()).to_string(), "inf");
 }
 
 }  // namespace

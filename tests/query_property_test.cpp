@@ -1,16 +1,23 @@
 // Randomized query-engine harness: for random plans (including a
-// mixed-kind factor), random predicates (including cross-kind and
-// int/real boundary literals), every block source -- direct, and cached
-// under an evicting budget and with retention off -- every SIMD level
-// and worker counts {1, 2, 8}, BundleQuery's aggregate, materialize and
-// group_samples must match a reference built from the materialized
-// records with value_compare filtering and std::map grouping, and the
-// aggregate CSV must be byte-identical across all of them.  A second
+// mixed-kind factor with int/real cross-kind levels and a real factor
+// with +-0.0 levels), random predicates (including cross-kind and
+// int/real boundary literals), one to four group columns, every block
+// source -- direct, and cached under an evicting budget and with
+// retention off -- every SIMD level and worker counts {1, 2, 8},
+// BundleQuery's aggregate, materialize and group_samples must match a
+// reference built from the materialized records with value_compare
+// filtering and std::map grouping, and the aggregate CSV and the groups'
+// keys and samples must be byte-identical to the boxed reference fold:
+// per-block groups keyed by boxed std::vector<Value> in a hash map,
+// merged in plan order -- the engine's packed-key fold must make the
+// same groups, additions and keys.  A second
 // harness drives selective zone-map predicates and asserts real pruning
 // with zero result divergence against the zone-less (version-1) manifest.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +27,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,10 +63,13 @@ Plan random_plan(std::mt19937_64& rng) {
   builder.add(Factor::levels("op", {Value("load"), Value("store"),
                                     Value("copy")}));
   builder.add(Factor::log_uniform_real("intensity", 0.5, 2.0));
-  // Ints and strings in the same blocks: a mixed-kind column.
-  builder.add(Factor::levels("mix", {Value(std::int64_t{1}),
+  // Ints, reals and strings in the same blocks: a mixed-kind column
+  // whose int 1 and real 1.0 are one group key.
+  builder.add(Factor::levels("mix", {Value(std::int64_t{1}), Value(1.0),
                                      Value(std::int64_t{7}), Value("x"),
                                      Value("y")}));
+  // An all-real column whose -0.0 and +0.0 are one group key.
+  builder.add(Factor::levels("real", {Value(-0.0), Value(0.0), Value(2.5)}));
   return builder.replications(static_cast<std::size_t>(reps(rng)))
       .randomize(true)
       .build();
@@ -68,6 +79,13 @@ MeasureResult noisy_measure(const PlannedRun& run, MeasureContext& ctx) {
   const double size = run.values[0].as_real();
   const double op_scale = run.values[1].as_string() == "copy" ? 2.0 : 1.0;
   const double value = size * op_scale * run.values[2].as_real() *
+                       ctx.rng->lognormal_factor(0.25);
+  return MeasureResult{{value, 1.0 / value}, value * 1e-8};
+}
+
+/// A measurement that reads no factor: any plan's runs.
+MeasureResult noisy_measure_any(const PlannedRun& run, MeasureContext& ctx) {
+  const double value = static_cast<double>(1 + run.run_index % 17) *
                        ctx.rng->lognormal_factor(0.25);
   return MeasureResult{{value, 1.0 / value}, value * 1e-8};
 }
@@ -236,12 +254,147 @@ struct Sources {
   serve::CachingBlockSource evicting, unretained;
 };
 
+/// One group of the boxed reference fold: count, the MetricAcc
+/// recurrences (sum, extrema, Welford) and the samples with their
+/// sequence numbers.
+struct BoxedGroup {
+  std::vector<Value> key;
+  std::size_t rows = 0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  stats::Welford welford;
+  std::vector<double> samples;
+  std::vector<std::size_t> sequence;
+
+  void add(double x, std::size_t seq) {
+    ++rows;
+    sum += x;
+    min = std::min(min, x);
+    max = std::max(max, x);
+    welford.add(x);
+    samples.push_back(x);
+    sequence.push_back(seq);
+  }
+
+  void merge(const BoxedGroup& other) {
+    rows += other.rows;
+    sum += other.sum;
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+    welford.merge(other.welford);
+    samples.insert(samples.end(), other.samples.begin(), other.samples.end());
+    sequence.insert(sequence.end(), other.sequence.begin(),
+                    other.sequence.end());
+  }
+};
+
+/// First-appearance groups keyed by boxed Value tuples in a hash map.
+struct BoxedGroups {
+  std::unordered_map<std::vector<Value>, std::size_t, ValueHash> index;
+  std::vector<BoxedGroup> groups;
+
+  BoxedGroup& slot(const std::vector<Value>& key) {
+    const auto [it, added] = index.try_emplace(key, groups.size());
+    if (added) groups.emplace_back().key = key;
+    return groups[it->second];
+  }
+};
+
+/// The group-by fold the engine ran before packed keys, over the
+/// materialized records: each bundle block (manifest order, which is
+/// plan order) folds its matching records into boxed-key groups, the
+/// blocks' groups merge in plan order, and the result sorts by key with
+/// Value ordering.  `records` is the full table in sequence order.
+std::vector<BoxedGroup> boxed_fold(const RawTable& records,
+                                   const ar::Manifest& manifest,
+                                   const query::Expr* where,
+                                   const std::vector<std::string>& group_by,
+                                   std::size_t metric) {
+  BoxedGroups merged;
+  std::size_t next = 0;
+  for (const ar::BlockInfo& block : manifest.blocks) {
+    BoxedGroups partial;
+    for (std::size_t i = next; i < next + block.records; ++i) {
+      const RawRecord& r = records.records()[i];
+      if (where && !matches(*where, r)) continue;
+      std::vector<Value> key;
+      for (const std::string& name : group_by) {
+        key.push_back(r.factors[records.factor_index(name)]);
+      }
+      partial.slot(key).add(r.metrics[metric], r.sequence);
+    }
+    next += block.records;
+    for (const BoxedGroup& group : partial.groups) {
+      merged.slot(group.key).merge(group);
+    }
+  }
+  EXPECT_EQ(next, records.size()) << "blocks do not tile the table";
+  std::vector<BoxedGroup> out = std::move(merged.groups);
+  std::sort(out.begin(), out.end(),
+            [](const BoxedGroup& a, const BoxedGroup& b) {
+              return a.key < b.key;
+            });
+  return out;
+}
+
+/// The boxed fold's aggregate CSV for count, mean, sd, min, max.
+std::string boxed_aggregate_csv(const std::vector<BoxedGroup>& groups,
+                                const query::QuerySpec& spec) {
+  query::QueryResult result;
+  result.group_names = spec.group_by;
+  for (const query::Aggregate& agg : spec.aggregates) {
+    result.value_names.push_back(agg.label());
+  }
+  for (const BoxedGroup& g : groups) {
+    result.rows.push_back({g.key,
+                           {static_cast<double>(g.rows), g.welford.mean(),
+                            g.welford.stddev(), g.min, g.max}});
+  }
+  std::ostringstream csv;
+  result.write_csv(csv);
+  return csv.str();
+}
+
+/// Keys as text, kinds included: Value == alone would take int 1 for
+/// real 1.0 and -0.0 for +0.0.
+std::string key_text(const std::vector<Value>& key) {
+  std::string out;
+  for (const Value& v : key) {
+    out += std::to_string(static_cast<int>(v.kind())) + ":" + v.to_string();
+    out += ";";
+  }
+  return out;
+}
+
+/// group_samples against the boxed fold: same groups in the same order,
+/// same keys (kind and text), same samples and sequence numbers.
+void expect_samples_match_boxed(const std::vector<stats::Group>& samples,
+                                const std::vector<BoxedGroup>& boxed,
+                                const std::string& where) {
+  ASSERT_EQ(samples.size(), boxed.size()) << where;
+  for (std::size_t g = 0; g < boxed.size(); ++g) {
+    EXPECT_EQ(key_text(samples[g].key), key_text(boxed[g].key)) << where;
+    EXPECT_EQ(samples[g].samples.size(), boxed[g].samples.size()) << where;
+    for (std::size_t i = 0; i < boxed[g].samples.size() &&
+                            i < samples[g].samples.size();
+         ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(samples[g].samples[i]),
+                std::bit_cast<std::uint64_t>(boxed[g].samples[i]))
+          << where;
+    }
+    EXPECT_EQ(samples[g].sequence, boxed[g].sequence) << where;
+  }
+}
+
 TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
   std::mt19937_64 rng(20260726);
   const auto dir =
       std::filesystem::temp_directory_path() / "calipers_query_property";
   const std::vector<std::vector<std::string>> group_bys = {
-      {"size"}, {"size", "op"}, {"mix"}, {"op", "mix"}};
+      {"size"},        {"size", "op"},          {"mix"},
+      {"op", "mix"},   {"real"},                {"mix", "real", "op"},
+      {"real", "size"}, {"size", "op", "mix", "real"}};
   const simd::Level before = simd::active_level();
   for (int trial = 0; trial < 24; ++trial) {
     const Plan plan = random_plan(rng);
@@ -274,6 +427,9 @@ TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
     }
     std::ostringstream filtered_csv;
     filtered.write_csv(filtered_csv);
+    const std::vector<BoxedGroup> boxed = boxed_fold(
+        reference, reader.manifest(), spec.where.get(), spec.group_by, 0);
+    const std::string boxed_csv = boxed_aggregate_csv(boxed, spec);
 
     std::string agg_base;
     for (const simd::Level level : dispatch_levels()) {
@@ -316,6 +472,12 @@ TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
           if (agg_base.empty()) agg_base = csv.str();
           EXPECT_EQ(csv.str(), agg_base) << "aggregate CSV diverged: "
                                          << where;
+          EXPECT_EQ(csv.str(), boxed_csv)
+              << "aggregate CSV differs from the boxed fold: " << where;
+          for (std::size_t row = 0; row < boxed.size(); ++row) {
+            EXPECT_EQ(key_text(result.rows[row].key), key_text(boxed[row].key))
+                << where;
+          }
 
           std::ostringstream mat;
           bundle.materialize(spec.where, {}, p).write_csv(mat);
@@ -330,6 +492,7 @@ TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
             EXPECT_EQ(samples[row].key, g->first) << where;
             EXPECT_EQ(samples[row].samples, g->second) << where;
           }
+          expect_samples_match_boxed(samples, boxed, where);
         }
       }
     }
@@ -339,6 +502,65 @@ TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
     EXPECT_EQ(sources.unretained_cache.stats().entries, 0u);
   }
   simd::set_level(before);
+  std::filesystem::remove_all(dir);
+}
+
+// NaN group keys keep the boxed fold's behaviour: NaN != NaN, so every
+// NaN record opens a group of its own, and the key sort -- which has no
+// strict weak order over NaN -- sees the groups in the same plan-order
+// sequence the boxed fold produced, so it places them the same way.
+TEST(QueryProperty, NaNFactorLevelsKeepTheBoxedFoldsGroups) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  DesignBuilder builder(11);
+  builder.add(Factor::levels("r", {Value(nan), Value(1.0), Value(-0.0),
+                                   Value(0.0), Value(-nan)}));
+  builder.add(Factor::levels("op", {Value("load"), Value("store")}));
+  const Plan plan = builder.replications(4).randomize(true).build();
+  const auto dir =
+      std::filesystem::temp_directory_path() / "calipers_query_nan_keys";
+  std::filesystem::remove_all(dir);
+  ar::BbxWriterOptions wopts;
+  wopts.shards = 2;
+  wopts.block_records = 9;
+  {
+    ar::BbxWriter sink(dir.string(), wopts);
+    make_engine().run(plan, noisy_measure_any, sink);
+  }
+  const RawTable reference = make_engine().run(plan, noisy_measure_any);
+  const ar::BbxReader reader(dir.string());
+  const query::BundleQuery bundle(reader);
+  for (const std::vector<std::string>& group_by :
+       {std::vector<std::string>{"r"}, std::vector<std::string>{"op", "r"}}) {
+    query::QuerySpec spec;
+    spec.group_by = group_by;
+    spec.aggregates = {query::Aggregate{query::AggKind::kCount, ""},
+                       *query::parse_aggregate("mean:time_us"),
+                       *query::parse_aggregate("sd:time_us"),
+                       *query::parse_aggregate("min:time_us"),
+                       *query::parse_aggregate("max:time_us")};
+    const std::vector<BoxedGroup> boxed =
+        boxed_fold(reference, reader.manifest(), nullptr, group_by, 0);
+    // One group per NaN record: 2 NaN levels x 2 ops x 4 replicates.
+    std::size_t nan_groups = 0;
+    for (const BoxedGroup& g : boxed) {
+      if (g.key.back().is_real() && std::isnan(g.key.back().as_real())) {
+        EXPECT_EQ(g.rows, 1u);
+        ++nan_groups;
+      }
+    }
+    EXPECT_EQ(nan_groups, 2u * 2u * 4u);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
+      core::WorkerPool pool(workers, "query-nan");
+      core::WorkerPool* p = workers > 1 ? &pool : nullptr;
+      const std::string where =
+          "group by " + group_by.back() + " workers " + std::to_string(workers);
+      std::ostringstream csv;
+      bundle.aggregate(spec, p).write_csv(csv);
+      EXPECT_EQ(csv.str(), boxed_aggregate_csv(boxed, spec)) << where;
+      expect_samples_match_boxed(
+          bundle.group_samples(nullptr, group_by, "time_us", p), boxed, where);
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -10,8 +10,11 @@
 // x buffer offsets, with interleaved single accesses (the pointer-chase
 // path) and with and without flushes between passes.  The closed-form
 // Hierarchy::steady_state_cost is held to the same reference: flush plus
-// two reference passes, from empty caches.  Fixed seed, fixed iteration
-// budget: a failure reproduces exactly.
+// two reference passes, from empty caches; Hierarchy::run_cost to flush
+// plus all nloops reference passes, on nested geometries (where it
+// charges pass 2 for every later pass) and crossed ones (where it finds
+// the repeating cycle).  Fixed seed, fixed iteration budget: a failure
+// reproduces exactly.
 
 #include <gtest/gtest.h>
 
@@ -462,6 +465,147 @@ TEST(SimCacheOracle, SteadyStateCostFallbacksMatchReference) {
   // The pass wraps: every line is touched in more than one run.
   expect_steady_state_cost_matches(i7_h, i7, random_buffer(i7, 64 * 1024),
                                    64, 2 * 1024 + 3, "wrapping count");
+}
+
+// --- Every pass of an nloops run ---------------------------------------------
+
+/// Hierarchy::run_cost against flush + `nloops` reference passes: the
+/// cold pass, the distinct later costs with their pass counts (in order
+/// of first occurrence, pass 2 first), and, through account_run, every
+/// PMU event the reference counts over the whole run.
+void expect_run_cost_matches(Hierarchy& fast, const MachineSpec& machine,
+                             const Buffer& buffer, std::size_t stride,
+                             std::size_t count, std::size_t nloops,
+                             const std::string& where) {
+  pmu::PmuFile fast_pmu;
+  pmu::PmuFile ref_pmu;
+  RefHierarchy ref(machine);
+  ref.attach_pmu(&ref_pmu);
+  const PassCost ref_cold = ref.stream_pass(buffer, stride, count);
+  std::vector<PassCost> ref_later;
+  std::vector<std::uint64_t> ref_times;
+  const auto same = [](const PassCost& a, const PassCost& b) {
+    return a.accesses == b.accesses && a.stall_cycles == b.stall_cycles &&
+           a.hits_by_level == b.hits_by_level;
+  };
+  for (std::size_t pass = 2; pass <= std::max<std::size_t>(nloops, 2);
+       ++pass) {
+    if (pass > nloops) ref.attach_pmu(nullptr);  // pass 2 as a diagnostic
+    const PassCost cost = ref.stream_pass(buffer, stride, count);
+    const std::uint64_t times = pass <= nloops ? 1 : 0;
+    const auto seen =
+        std::find_if(ref_later.begin(), ref_later.end(),
+                     [&](const PassCost& c) { return same(c, cost); });
+    if (seen == ref_later.end()) {
+      ref_later.push_back(cost);
+      ref_times.push_back(times);
+    } else {
+      ref_times[static_cast<std::size_t>(seen - ref_later.begin())] += times;
+    }
+  }
+
+  Hierarchy::RunCost run;
+  fast.attach_pmu(&fast_pmu);
+  fast.run_cost(buffer, stride, count, nloops, run);
+  for (const pmu::Event e : pmu::all_events()) {
+    EXPECT_EQ(fast_pmu.value(e), 0u)
+        << where << " run_cost counted pmu." << pmu::event_name(e);
+  }
+  expect_same_cost(run.cold, ref_cold, where + " cold");
+  ASSERT_EQ(run.later.size(), ref_later.size()) << where;
+  for (std::size_t i = 0; i < ref_later.size(); ++i) {
+    expect_same_cost(run.later[i].cost, ref_later[i],
+                     where + " later cost " + std::to_string(i));
+    EXPECT_EQ(run.later[i].passes, ref_times[i])
+        << where << " later cost " << i;
+  }
+  fast.account_run(run);
+  for (const pmu::Event e : pmu::all_events()) {
+    EXPECT_EQ(fast_pmu.value(e), ref_pmu.value(e))
+        << where << " pmu." << pmu::event_name(e);
+  }
+  fast.attach_pmu(nullptr);
+}
+
+/// A random 2- or 3-level geometry with small set counts (so most pairs
+/// of levels cross), a common line size, and now and then a second one.
+MachineSpec random_geometry(Rng& rng, int index) {
+  MachineSpec machine = machines::core_i7_2600();
+  machine.name = "random_" + std::to_string(index);
+  const std::size_t line = rng.bernoulli(0.8) ? 64 : 32;
+  const int levels = static_cast<int>(rng.uniform_int(2, 3));
+  machine.caches.clear();
+  for (int k = 0; k < levels; ++k) {
+    CacheLevelSpec level;
+    level.name = "L" + std::to_string(k + 1);
+    level.line_bytes = line;
+    if (k > 0 && rng.bernoulli(0.1)) level.line_bytes = line * 2;
+    level.ways = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    const std::size_t sets = static_cast<std::size_t>(rng.uniform_int(1, 48));
+    level.size_bytes = level.line_bytes * level.ways * sets;
+    level.miss_stall_cycles = 4.0 + 9.0 * k;
+    machine.caches.push_back(level);
+  }
+  return machine;
+}
+
+TEST(SimCacheOracle, RunCostMatchesEveryReferencePass) {
+  Rng rng(0x4E100B5);
+  const PagePolicy policies[] = {PagePolicy::kRandomPool,
+                                 PagePolicy::kSequential,
+                                 PagePolicy::kColored};
+  std::vector<MachineSpec> machines = oracle_machines();
+  for (int g = 0; g < 24; ++g) machines.push_back(random_geometry(rng, g));
+  std::size_t crossed_cases = 0, cycles_past_pass_2 = 0;
+  for (const MachineSpec& machine : machines) {
+    Hierarchy fast(machine);
+    const std::size_t line = machine.l1().line_bytes;
+    const std::size_t max_size = std::min<std::size_t>(
+        machine.caches.back().size_bytes * 3, std::size_t{1} << 20);
+    const int cases = fast.nested() ? 16 : 40;
+    for (int it = 0; it < cases; ++it) {
+      const PagePolicy policy = policies[it % 3];
+      const Buffer buffer = draw_buffer(rng, machine, max_size, policy);
+      const std::size_t size = buffer.size();
+      std::size_t stride = draw_stride(rng, line, size);
+      while (size / stride > 8192) stride *= 2;
+      std::size_t count = std::max<std::size_t>(size / stride, 1);
+      if (rng.bernoulli(0.2)) count += count / 2 + 1;  // wraps mid-pass
+      const std::size_t nloops =
+          static_cast<std::size_t>(rng.uniform_int(1, 8));
+      expect_run_cost_matches(
+          fast, machine, buffer, stride, count, nloops,
+          describe(machine, policy, size, buffer.offset(), stride, count,
+                   true, it) +
+              " nloops=" + std::to_string(nloops));
+      if (HasFailure()) return;
+      if (!fast.nested()) {
+        ++crossed_cases;
+        Hierarchy::RunCost run;
+        fast.run_cost(buffer, stride, count, 8, run);
+        if (run.later.size() > 1) ++cycles_past_pass_2;
+      }
+    }
+  }
+  // The crossed geometries really exercised the cycle search: some runs
+  // have a later pass that costs other than pass 2.
+  EXPECT_GT(crossed_cases, 400u);
+  EXPECT_GT(cycles_past_pass_2, 0u);
+}
+
+TEST(SimCacheOracle, PaperMachinesNestAndCrossedSetsDoNot) {
+  for (const MachineSpec& machine : machines::all()) {
+    EXPECT_TRUE(Hierarchy(machine).nested()) << machine.name;
+  }
+  for (const MachineSpec& machine : oracle_machines()) {
+    if (machine.name == "crossed_sets") {
+      EXPECT_FALSE(Hierarchy(machine).nested());
+    }
+  }
+  MachineSpec mixed = machines::core_i7_2600();  // two line sizes
+  mixed.caches[1].line_bytes = 128;
+  mixed.caches[1].ways = 4;
+  EXPECT_FALSE(Hierarchy(mixed).nested());
 }
 
 TEST(SimCacheOracle, SameLineRunsAreCountedAsL1Hits) {
