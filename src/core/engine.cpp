@@ -56,10 +56,11 @@ class WelfordCells {
   WelfordCells(std::size_t n_cells, std::size_t n_metrics)
       : n_metrics_(n_metrics), cells_(n_cells) {}
 
-  /// Folds one measurement into its cell.  A cell's reported factor
-  /// values are those of its first run in sweep order (for sampled
-  /// factors they vary within the cell; level factors are constant).
-  void add(const PlannedRun& run, const std::vector<double>& metrics) {
+  /// Folds one measurement (n_metrics values) into its cell.  A cell's
+  /// reported factor values are those of its first run in sweep order
+  /// (for sampled factors they vary within the cell; level factors are
+  /// constant).
+  void add(const PlannedRun& run, const double* metrics) {
     Acc& acc = cells_[run.cell_index];
     if (acc.n == 0) {
       acc.factors = run.values;
@@ -67,7 +68,7 @@ class WelfordCells {
       acc.m2.assign(n_metrics_, 0.0);
     }
     acc.n += 1;
-    for (std::size_t m = 0; m < metrics.size(); ++m) {
+    for (std::size_t m = 0; m < n_metrics_; ++m) {
       const double x = metrics[m];
       const double delta = x - acc.mean[m];
       acc.mean[m] += delta / static_cast<double>(acc.n);
@@ -130,28 +131,48 @@ class SinkCloser {
   bool disarmed_ = false;
 };
 
-/// Folds one finished window into the caller's output, in plan order:
-/// results[k] and stamps[k] (its simulated timestamp) belong to
-/// order[begin + k].
-using WindowMerge =
-    std::function<void(std::size_t begin, std::vector<MeasureResult>& results,
-                       const std::vector<double>& stamps)>;
+/// One window's measurements, flat: run k -- order[begin + k] -- has
+/// metrics [k * width, (k + 1) * width) and duration elapsed_s[k].  A
+/// worker copies each result in here and frees the MeasureResult
+/// itself, so no allocation made on a worker is ever freed by the
+/// merging thread (whose frees would contend for the worker's malloc
+/// arena while the next window is being measured).
+struct MeasuredWindow {
+  std::size_t begin = 0;
+  std::size_t width = 0;
+  std::vector<double> metrics;
+  std::vector<double> elapsed_s;
+
+  std::size_t size() const noexcept { return elapsed_s.size(); }
+  const double* metrics_of(std::size_t k) const noexcept {
+    return metrics.data() + k * width;
+  }
+};
+
+/// Folds one finished window into the caller's output, in plan order;
+/// stamps[k] is run k's simulated timestamp.
+using WindowMerge = std::function<void(const MeasuredWindow& window,
+                                       const std::vector<double>& stamps)>;
 
 /// The one execution loop behind run_range() and run_opaque(): runs
 /// order[first, first + count) window by window (one window = one sink
-/// batch of runs) and hands each finished window to `merge`.  The
-/// resident state is one window of results, whatever the campaign size.
+/// batch of runs) and hands each finished window to `merge`, in plan
+/// order.
 ///
-/// With one worker the window runs inline on the calling thread and
-/// every measurement sees the live simulated clock in now_s, which is
-/// what time-dependent simulations need.  With more, the window is
-/// sharded round-robin over the pool (worker w takes window positions w,
-/// w + width, ...): deterministic, no work stealing, and the
-/// lowest-position failure propagates.  now_s is then the start time,
-/// and the clock is rebuilt here from the returned durations, so the
-/// stamps are the same at any worker count.  `sweep` selects the opaque
-/// sweep's conventions: sequence numbers are positions in `order` and
-/// the clock always accumulates.
+/// With one worker the window runs inline on the calling thread, every
+/// measurement sees the live simulated clock in now_s (what
+/// time-dependent simulations need), and nothing overlaps: window k is
+/// merged before window k + 1 starts.  With more, the loop is pipelined:
+/// the pool measures window k + 1, handed out by guided
+/// self-scheduling, while the calling thread stamps and merges window k,
+/// so the resident state is two windows of results.  now_s is then the
+/// start time, and the clock is rebuilt from the returned durations in
+/// plan order, so the stamps are the same at any worker count.  Seeds
+/// are drawn per window in plan order and a merge failure in window k
+/// propagates ahead of a measurement failure in window k + 1 -- the
+/// sequential order.  `sweep` selects the opaque sweep's conventions:
+/// sequence numbers are positions in `order` and the clock always
+/// accumulates.
 void drive(const Engine& engine, const std::vector<PlannedRun>& order,
            std::size_t first, std::size_t count,
            const MeasureFactory& factory, bool sweep,
@@ -182,62 +203,109 @@ void drive(const Engine& engine, const std::vector<PlannedRun>& order,
     pool = owned.get();
   }
 
+  const std::size_t width = engine.metric_names().size();
+  MeasuredWindow slots[2];  // the window being measured, the one merging
   Rng engine_rng(options.seed);
   engine_rng.discard(first);  // runs [0, first) each drew one seed
   double now = options.start_time_s;
   std::vector<std::uint64_t> seeds;
-  std::vector<MeasureResult> results;
   std::vector<double> stamps;
+
+  const auto measure = [&](MeasuredWindow& into, std::size_t w,
+                           std::size_t k, double now_s) {
+    const PlannedRun& run = order[into.begin + k];
+    Rng run_rng(seeds[k]);
+    MeasureContext ctx{now_s, sweep ? into.begin + k : run.run_index,
+                       &run_rng, w};
+    const auto t0 =
+        stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
+    MeasureResult result = measures[w](run, ctx);
+    if (stats != nullptr) {
+      busy_s[w] += seconds_between(t0, SteadyClock::now());
+    }
+    if (result.metrics.size() != width) {
+      throw std::runtime_error("Engine: measurement width mismatch");
+    }
+    std::copy(result.metrics.begin(), result.metrics.end(),
+              into.metrics.begin() + static_cast<std::ptrdiff_t>(k * width));
+    into.elapsed_s[k] = result.elapsed_s;
+  };
+  // Under the indexed clock a timestamp is a pure function of the plan
+  // index; under the accumulated clock it is the threaded `now`, which
+  // each measured run advances by its duration plus the gap.
+  const auto stamp = [&](const MeasuredWindow& of, std::size_t k) {
+    return indexed ? options.start_time_s +
+                         static_cast<double>(order[of.begin + k].run_index) *
+                             gap
+                   : now;
+  };
+  const auto merge_window = [&](const MeasuredWindow& done) {
+    CAL_FAULT_POINT("engine.window");
+    merge(done, stamps);
+  };
+  // Stamps a pooled window in plan order, then merges it.
+  const auto settle = [&](const MeasuredWindow& done) {
+    stamps.resize(done.size());
+    for (std::size_t k = 0; k < stamps.size(); ++k) {
+      stamps[k] = stamp(done, k);
+      now += done.elapsed_s[k] + gap;
+    }
+    merge_window(done);
+  };
+
+  // Window k's wall time is its step's: under the pipeline that is
+  // measuring k while merging k - 1, and the last window's step also
+  // merges it.  So a window is noted once the next step has ended.
+  MeasuredWindow* unmerged = nullptr;  // pooled, measured, not merged
+  std::size_t held_runs = 0;
+  double held_wall_s = 0.0;
   for (std::size_t begin = first; begin < first + count; begin += window) {
     const std::size_t n = std::min(window, first + count - begin);
+    MeasuredWindow& current = slots[unmerged == &slots[0] ? 1 : 0];
+    current.begin = begin;
+    current.width = width;
+    current.metrics.resize(n * width);
+    current.elapsed_s.resize(n);
     draw_seeds(engine_rng, n, seeds);
-    results.resize(n);
-    stamps.resize(n);
-    const auto measure = [&](std::size_t w, std::size_t k, double now_s) {
-      const PlannedRun& run = order[begin + k];
-      Rng run_rng(seeds[k]);
-      MeasureContext ctx{now_s, sweep ? begin + k : run.run_index, &run_rng,
-                         w};
-      const auto t0 =
-          stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
-      MeasureResult result = measures[w](run, ctx);
-      if (stats != nullptr) {
-        busy_s[w] += seconds_between(t0, SteadyClock::now());
-      }
-      if (result.metrics.size() != engine.metric_names().size()) {
-        throw std::runtime_error("Engine: measurement width mismatch");
-      }
-      results[k] = std::move(result);
-    };
-    const auto window_t0 = SteadyClock::now();
+    const auto step_t0 = SteadyClock::now();
     {
       CAL_SPAN("engine.window");
       CAL_TIME_SCOPE("engine.window_seconds");
-      if (pool != nullptr) {
+      if (pool == nullptr) {
+        stamps.resize(n);
+        for (std::size_t k = 0; k < n; ++k) {
+          stamps[k] = stamp(current, k);
+          measure(current, 0, k, stamps[k]);
+          now += current.elapsed_s[k] + gap;
+        }
+      } else {
+        std::function<void()> meanwhile;
+        if (unmerged != nullptr) meanwhile = [&] { settle(*unmerged); };
         pool->run_indexed(
             n,
             [&](std::size_t w, std::size_t k) {
-              measure(w, k, options.start_time_s);
+              measure(current, w, k, options.start_time_s);
             },
-            workers);
-      }
-      // Under the indexed clock a timestamp is a pure function of the
-      // plan index; under the accumulated clock it is the threaded `now`.
-      for (std::size_t k = 0; k < n; ++k) {
-        stamps[k] = indexed ? options.start_time_s +
-                                  static_cast<double>(
-                                      order[begin + k].run_index) *
-                                      gap
-                            : now;
-        if (pool == nullptr) measure(0, k, stamps[k]);
-        now += results[k].elapsed_s + gap;
+            workers, meanwhile);
       }
     }
     CAL_COUNT("engine.windows", 1);
     CAL_COUNT("engine.runs", n);
-    CAL_FAULT_POINT("engine.window");
-    merge(begin, results, stamps);
-    note_window(stats, n, seconds_between(window_t0, SteadyClock::now()));
+    if (pool == nullptr) {
+      merge_window(current);
+      note_window(stats, n, seconds_between(step_t0, SteadyClock::now()));
+    } else {
+      if (held_runs != 0) note_window(stats, held_runs, held_wall_s);
+      held_runs = n;
+      held_wall_s = seconds_between(step_t0, SteadyClock::now());
+      unmerged = &current;
+    }
+  }
+  if (unmerged != nullptr) {
+    const auto t0 = SteadyClock::now();
+    settle(*unmerged);
+    note_window(stats, held_runs,
+                held_wall_s + seconds_between(t0, SteadyClock::now()));
   }
   if (stats != nullptr) {
     for (const double busy : busy_s) stats->busy_s += busy;
@@ -317,18 +385,18 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
   SinkCloser closer(sink);  // finalizes the sink even on failure
 
   drive(*this, order, first, count, factory, /*sweep=*/false,
-        [&](std::size_t begin, std::vector<MeasureResult>& results,
-            const std::vector<double>& stamps) {
-          std::vector<RawRecord> batch(results.size());
-          for (std::size_t k = 0; k < results.size(); ++k) {
-            const PlannedRun& planned = order[begin + k];
+        [&](const MeasuredWindow& window, const std::vector<double>& stamps) {
+          std::vector<RawRecord> batch(window.size());
+          for (std::size_t k = 0; k < batch.size(); ++k) {
+            const PlannedRun& planned = order[window.begin + k];
             RawRecord& rec = batch[k];
             rec.sequence = planned.run_index;
             rec.cell_index = planned.cell_index;
             rec.replicate = planned.replicate;
             rec.timestamp_s = stamps[k];
             rec.factors = planned.values;
-            rec.metrics = std::move(results[k].metrics);
+            rec.metrics.assign(window.metrics_of(k),
+                               window.metrics_of(k) + window.width);
           }
           CAL_SPAN("engine.sink");
           CAL_TIME_SCOPE("engine.sink_seconds");
@@ -380,10 +448,9 @@ OpaqueSummary Engine::run_opaque(const Plan& plan,
   WelfordCells cells(n_cells, metric_names_.size());
 
   drive(*this, order, 0, order.size(), factory, /*sweep=*/true,
-        [&](std::size_t begin, std::vector<MeasureResult>& results,
-            const std::vector<double>&) {
-          for (std::size_t k = 0; k < results.size(); ++k) {
-            cells.add(order[begin + k], results[k].metrics);
+        [&](const MeasuredWindow& window, const std::vector<double>&) {
+          for (std::size_t k = 0; k < window.size(); ++k) {
+            cells.add(order[window.begin + k], window.metrics_of(k));
           }
         });
   summary.cells = cells.finish();

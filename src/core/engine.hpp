@@ -13,12 +13,17 @@
 // sink batch of runs), and merges each finished window in plan order:
 // run()/run_range() append it as records to the sink, run_opaque()
 // folds it into per-cell summaries.  With one worker (Options::threads
-// == 1, the default) the window runs inline on the calling thread and
+// == 1, the default) the window runs inline on the calling thread,
 // each measurement sees the true simulated clock in
-// MeasureContext::now_s.  With more, the window is sharded round-robin
-// over a persistent core::WorkerPool -- created once per call, or shared
-// across calls via Options::pool -- woken per window, so per-window
-// latency is a condition-variable broadcast, not a thread spawn/join.
+// MeasureContext::now_s, and window k is merged before window k + 1
+// starts.  With more, the windows run on a persistent core::WorkerPool
+// -- created once per call, or shared across calls via Options::pool --
+// woken per window, so per-window latency is a condition-variable
+// broadcast, not a thread spawn/join.  The pooled loop is pipelined:
+// the workers measure window k + 1, claiming its runs by guided
+// self-scheduling, while the calling thread stamps and merges window k
+// (record build + RecordSink::consume).  Pipelining changes when work
+// runs, never what is measured or merged.
 //
 // Determinism is preserved by construction:
 //
@@ -28,7 +33,8 @@
 //     have produced), so run i draws the exact same noise no matter
 //     which worker executes it, or in which order;
 //   * workers stage results into per-run slots and the merge rebuilds the
-//     record batch -- and the simulated clock -- in plan order.
+//     record batch -- and the simulated clock -- in plan order, one
+//     window after another, whichever worker measured which run.
 //
 // The output is therefore bit-identical at any worker count and window
 // size, provided the measurement is *stationary*: it must not derive
@@ -44,8 +50,8 @@
 // studies can quantify exactly what that style of tool loses.  True to
 // form, it aggregates *online*: each window's measurements stream into
 // per-cell Welford accumulators in sweep order, so its resident state is
-// one window of results plus the accumulators -- never the whole
-// campaign.
+// one window of results (two when pipelined over a pool) plus the
+// accumulators -- never the whole campaign.
 
 #include <functional>
 #include <iosfwd>
@@ -105,15 +111,19 @@ using MeasureFactory = std::function<MeasureFn(std::size_t worker)>;
 /// worker busy time, collected only when a collector is attached
 /// (Options::window_stats -- Campaign attaches one so archived bundles
 /// carry it).  A "window" is one sink batch: the unit the engine
-/// schedules and merges.  Occupancy is measured busy time over the
-/// pool's capacity for the measured wall time -- 1.0 means
-/// every worker measured for the full window, lower means merge/sink
-/// stalls or load imbalance.
+/// schedules and merges.  A window's wall time is its step's: measuring
+/// and merging it inline, or -- pipelined over a pool -- measuring it
+/// while the previous window merges, the last window's step also
+/// merging it.  Steps do not overlap, so wall_s is the call's execution
+/// wall time either way.  Occupancy is measured busy time over the
+/// pool's capacity for that wall time -- 1.0 means every worker
+/// measured throughout, lower means time the workers waited on the
+/// merge/sink or on each other.
 struct WindowStats {
   std::size_t windows = 0;     ///< sink batches executed
   std::size_t runs = 0;        ///< measurements executed
-  std::size_t threads = 0;     ///< workers the call sharded over
-  double wall_s = 0.0;         ///< summed per-window wall-clock
+  std::size_t threads = 0;     ///< workers the call ran on
+  double wall_s = 0.0;         ///< summed per-window (step) wall-clock
   double min_window_s = 0.0;   ///< fastest window
   double max_window_s = 0.0;   ///< slowest window
   double busy_s = 0.0;         ///< summed per-run measurement wall-clock
@@ -163,7 +173,9 @@ class Engine {
     /// Runs per execution window, and so records per
     /// RecordSink::consume() batch.  Every call executes the plan in
     /// windows of this many runs, so at most one window of results + one
-    /// batch of records is ever held (run_opaque: one window of results).
+    /// batch of records is ever held inline, and two windows of results
+    /// + one batch when pipelined over a pool (run_opaque: one resp. two
+    /// windows of results).
     /// Larger windows amortize sink and wake-up overhead; smaller ones
     /// tighten the memory bound.  Output is bit-identical at any size.
     std::size_t sink_batch = 4096;
@@ -246,8 +258,9 @@ class Engine {
   /// every measurement into online per-cell Welford accumulators, and
   /// throws the raw data away.  Returned summaries are all an opaque
   /// tool would have reported.  Resident state is bounded by one
-  /// execution window of MeasureResults (Options::sink_batch) plus the
-  /// accumulators -- never the full campaign.
+  /// execution window of MeasureResults (Options::sink_batch; two when
+  /// pipelined over a pool) plus the accumulators -- never the full
+  /// campaign.
   OpaqueSummary run_opaque(const Plan& plan, const MeasureFn& measure) const;
   OpaqueSummary run_opaque(const Plan& plan,
                            const MeasureFactory& factory) const;

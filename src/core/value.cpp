@@ -129,7 +129,12 @@ bool operator<(const Value& a, const Value& b) {
     // Int pairs compare exactly, like operator==: ints past 2^53 that
     // share a double must not collapse into one group-by key.
     if (a.is_int() && b.is_int()) return a.as_int() < b.as_int();
-    return a.as_real() < b.as_real();
+    // NaN sorts after every number and ties with every NaN, so this stays
+    // a strict weak order (a sort over NaN keys is otherwise undefined).
+    const double x = a.as_real();
+    const double y = b.as_real();
+    if (std::isnan(x) || std::isnan(y)) return !std::isnan(x);
+    return x < y;
   }
   if (a_num != b_num) return a_num;  // numbers sort before strings
   return a.as_string() < b.as_string();

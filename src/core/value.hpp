@@ -53,7 +53,9 @@ class Value {
   friend bool operator==(const Value& a, const Value& b);
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
-  /// Ordering used for group-by keys: by kind, then by content.
+  /// Ordering used for group-by keys, a strict weak order: numbers
+  /// ascending (ints exactly, int/real by value), then NaN -- every NaN
+  /// ties with every other -- then strings ascending.
   friend bool operator<(const Value& a, const Value& b);
 
   /// Hash consistent with operator== (which compares int and real values

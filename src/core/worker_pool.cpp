@@ -3,6 +3,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -131,38 +132,60 @@ void WorkerPool::barrier() {
 }
 
 void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
-                             std::size_t width) {
+                             std::size_t width,
+                             const std::function<void()>& meanwhile) {
   if (width == 0 || width > size()) width = size();
-  struct ShardStop {
+  struct WorkerStop {
     std::size_t index = 0;
     std::exception_ptr error;
   };
-  // One slot per worker: a shard records its first failure here and
+  // One slot per worker: a worker records its first failure here and
   // stops, so exceptions never reach the pool-level capture and the
   // lowest *index* (not the earliest submission) decides what the
   // caller sees.
-  std::vector<std::optional<ShardStop>> stops(width);
+  std::vector<std::optional<WorkerStop>> stops(width);
+  std::atomic<std::size_t> next{0};  // first index not yet claimed
+  const std::size_t divisor = 2 * width;
   const std::size_t active = std::min(width, count);
   for (std::size_t w = 0; w < active; ++w) {
-    submit_to(w, [&stops, &body, count, width](std::size_t worker) {
-      for (std::size_t k = worker; k < count; k += width) {
+    submit_to(w, [&stops, &next, &body, count, divisor](std::size_t worker) {
+      std::size_t first = next.load(std::memory_order_relaxed);
+      while (first < count) {
+        const std::size_t last =
+            first + std::max<std::size_t>((count - first) / divisor, 1);
+        // A failed claim reloads `first`; the barrier publishes results.
+        if (!next.compare_exchange_weak(first, last,
+                                        std::memory_order_relaxed)) {
+          continue;
+        }
+        std::size_t k = first;
         try {
-          body(worker, k);
+          for (; k < last; ++k) body(worker, k);
         } catch (...) {
-          stops[worker] = ShardStop{k, std::current_exception()};
+          stops[worker] = WorkerStop{k, std::current_exception()};
           return;
         }
+        first = next.load(std::memory_order_relaxed);
       }
     });
   }
-  barrier();
-  const ShardStop* first = nullptr;
-  for (const auto& stop : stops) {
-    if (stop && (first == nullptr || stop->index < first->index)) {
-      first = &*stop;
+  std::exception_ptr meanwhile_error;
+  if (meanwhile) {
+    try {
+      meanwhile();
+    } catch (...) {
+      meanwhile_error = std::current_exception();
     }
   }
-  if (first != nullptr) std::rethrow_exception(first->error);
+  barrier();
+  if (meanwhile_error) std::rethrow_exception(meanwhile_error);
+  const WorkerStop* lowest = nullptr;
+  for (const auto& stop : stops) {
+    if (stop && (lowest == nullptr || stop->index < lowest->index)) {
+      lowest = &*stop;
+    }
+  }
+  if (lowest != nullptr) std::rethrow_exception(lowest->error);
 }
 
 }  // namespace cal::core

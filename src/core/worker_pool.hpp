@@ -9,21 +9,28 @@
 // windows -- or as many campaigns -- as the owner wants, replacing the
 // per-window spawn/join with a condition-variable wake.
 //
-// Determinism is preserved by construction, exactly like the old
-// spawn-per-window scheme:
+// What the pool guarantees, and what it leaves to timing:
 //
 //   * submit() assigns tasks round-robin (submission i of a
 //     barrier-delimited batch goes to worker i % size(), and the cursor
 //     resets at every barrier), so the task -> worker mapping never
 //     depends on timing;
-//   * run_indexed() shards an indexed window the way the engine always
-//     has: worker w executes indices w, w + size(), ... in increasing
-//     order, no work stealing;
+//   * run_indexed() hands an indexed window out by guided
+//     self-scheduling: each worker claims the next
+//     max(1, remaining / (2 * width)) indices with one compare-and-swap,
+//     so the claims shrink as the window drains and a slow index cannot
+//     leave the other workers idle.  Which worker runs which index
+//     depends on timing; callers whose results must not (the engine)
+//     keep nothing per worker that reaches the output;
+//   * run_indexed() can run a "meanwhile" callable on the calling
+//     thread while the window is in flight -- the engine merges window
+//     k there while the workers measure window k + 1;
 //   * exceptions are captured per worker and rethrown from the caller
 //     after the barrier -- barrier() rethrows the failure of the earliest
-//     *submission*, run_indexed() the failure of the lowest *index*
-//     (plan order).  Either way the pool itself stays healthy and
-//     reusable: a failed window never poisons the next one.
+//     *submission*, run_indexed() the failure of the meanwhile callable
+//     if it threw, else that of the lowest failing *index* (plan order).
+//     Either way the pool itself stays healthy and reusable: a failed
+//     window never poisons the next one.
 //
 // The pool is single-producer: submit()/barrier()/run_indexed() must be
 // called from one thread at a time (the engine's merge thread).  Tasks
@@ -75,17 +82,22 @@ class WorkerPool {
   /// pool is immediately reusable.  Also resets the round-robin cursor.
   void barrier();
 
-  /// Executes `count` indexed tasks sharded round-robin across the
-  /// first `width` workers (worker w runs indices w, w + width, ... in
-  /// increasing order; width = 0 or > size() means all workers) and
-  /// waits for completion.  A worker stops its own shard at its first
-  /// failure; other shards run to completion.  The exception of the
-  /// lowest failing index -- plan order, for the engine -- is rethrown,
-  /// and the pool stays reusable.  A width below size() lets a caller
-  /// with fewer per-worker resources (e.g. simulator replicas) than the
-  /// pool has workers keep its shard stride equal to its resource count.
+  /// Executes `count` indexed tasks on the first `width` workers
+  /// (width = 0 or > size() means all workers) by guided
+  /// self-scheduling, runs `meanwhile` (if set) on the calling thread
+  /// while they are in flight, and waits for both.  A worker runs each
+  /// claimed chunk in increasing index order and stops at its first
+  /// failure; the others drain the window.  Every index below the lowest
+  /// failing one therefore runs, and that failure is the one rethrown --
+  /// unless `meanwhile` threw, which wins (the caller's earlier work in
+  /// program order).  The window is always waited for before anything
+  /// propagates, and the pool stays reusable.  `meanwhile` must not use
+  /// this pool.  A width below size() lets a caller with fewer
+  /// per-worker resources (e.g. simulator replicas) than the pool has
+  /// workers keep to its resource count.
   void run_indexed(std::size_t count, const IndexedTask& body,
-                   std::size_t width = 0);
+                   std::size_t width = 0,
+                   const std::function<void()>& meanwhile = {});
 
  private:
   struct Submission {

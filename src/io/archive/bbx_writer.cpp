@@ -4,7 +4,6 @@
 #include <cmath>
 #include <exception>
 #include <filesystem>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -62,14 +61,23 @@ ColumnStats factor_stats(const std::vector<RawRecord>& records,
     return stats;
   }
   if (any_string && !any_numeric) {
-    std::set<std::string> levels;
+    // At most kZoneMaxLevels distinct levels: a linear scan of them is
+    // cheaper per record than a tree insert, and copies nothing.
+    std::vector<const std::string*> levels;
     for (const RawRecord& r : records) {
-      levels.insert(r.factors[col].as_string());
-      if (levels.size() > kZoneMaxLevels) return ColumnStats{};
+      const std::string& level = r.factors[col].as_string();
+      if (std::none_of(levels.begin(), levels.end(),
+                       [&](const std::string* seen) { return *seen == level; })) {
+        if (levels.size() == kZoneMaxLevels) return ColumnStats{};
+        levels.push_back(&level);
+      }
     }
+    std::sort(levels.begin(), levels.end(),
+              [](const std::string* a, const std::string* b) { return *a < *b; });
     ColumnStats stats;
     stats.kind = ColumnStats::Kind::kStrings;
-    stats.levels.assign(levels.begin(), levels.end());
+    stats.levels.reserve(levels.size());
+    for (const std::string* level : levels) stats.levels.push_back(*level);
     return stats;
   }
   return ColumnStats{};
@@ -176,11 +184,16 @@ void BbxWriter::flush_block() {
                                 manifest_.factor_names.size(),
                                 manifest_.metric_names.size());
   }
-  std::string stored;
+  // The frame is the 12-byte header followed by the stored payload; the
+  // payload is compressed in place behind the header's placeholder.
+  constexpr std::size_t kHeader = 12;
+  std::string frame;
   {
     CAL_TIME_SCOPE("bbx.compress_seconds");
-    stored = block_compress(scratch_raw_);
+    frame = block_compress(scratch_raw_, kHeader);
   }
+  const char* const stored = frame.data() + kHeader;
+  const std::size_t stored_size = frame.size() - kHeader;
 
   BlockInfo info;
   // Round-robin by *global* block index: a partial bundle's blocks land
@@ -188,27 +201,26 @@ void BbxWriter::flush_block() {
   info.shard = static_cast<std::uint32_t>(
       (options_.first_block + manifest_.blocks.size()) % options_.shards);
   info.offset = shard_offsets_[info.shard];
-  info.stored_bytes = static_cast<std::uint32_t>(stored.size());
+  info.stored_bytes = static_cast<std::uint32_t>(stored_size);
   info.raw_bytes = static_cast<std::uint32_t>(scratch_raw_.size());
   {
     CAL_TIME_SCOPE("bbx.crc_seconds");
-    info.crc32 = crc32(stored.data(), stored.size());
+    info.crc32 = crc32(stored, stored_size);
   }
   CAL_COUNT("bbx.blocks_flushed", 1);
   CAL_COUNT("bbx.records_flushed", pending_.size());
   CAL_COUNT("bbx.bytes_raw", scratch_raw_.size());
-  CAL_COUNT("bbx.bytes_stored", stored.size());
+  CAL_COUNT("bbx.bytes_stored", stored_size);
   info.first_sequence = pending_.front().sequence;
   info.records = static_cast<std::uint32_t>(pending_.size());
 
-  // Frame: sizes + checksum repeated in the shard itself, so a shard is
+  // Header: sizes + checksum repeated in the shard itself, so a shard is
   // walkable (and corruption localizable) even without the manifest.
-  std::string frame;
-  frame.reserve(12 + stored.size());
-  put_u32le(frame, info.stored_bytes);
-  put_u32le(frame, info.raw_bytes);
-  put_u32le(frame, info.crc32);
-  frame.append(stored);
+  std::string header;
+  put_u32le(header, info.stored_bytes);
+  put_u32le(header, info.raw_bytes);
+  put_u32le(header, info.crc32);
+  frame.replace(0, kHeader, header);
 
   std::ofstream& out = shards_[info.shard];
   CAL_FAULT_WRITE("bbx.flush_block", out, frame.data(), frame.size());

@@ -50,9 +50,13 @@ void emit_sequence(std::string& out, const char* lit, std::size_t lit_len,
 
 }  // namespace
 
-std::string block_compress(const std::string& raw) {
+std::string block_compress(const std::string& raw, std::size_t prefix) {
+  // Room for the worst case -- the LZ stream of an incompressible block
+  // runs one length byte per 255 literals past the input -- so the
+  // buffer never regrows, and the stored fallback fits too.
   std::string out;
-  out.reserve(raw.size() / 2 + 16);
+  out.reserve(prefix + raw.size() + raw.size() / 255 + 16);
+  out.assign(prefix, '\0');
   out.push_back(static_cast<char>(kCodecLz));
 
   const char* data = raw.data();
@@ -78,8 +82,9 @@ std::string block_compress(const std::string& raw) {
   }
   emit_sequence(out, data + anchor, n - anchor, 0, 0);
 
-  if (out.size() >= raw.size() + 1) {
-    out.assign(1, static_cast<char>(kCodecStored));
+  if (out.size() - prefix >= raw.size() + 1) {
+    out.resize(prefix);
+    out.push_back(static_cast<char>(kCodecStored));
     out.append(raw);
   }
   return out;

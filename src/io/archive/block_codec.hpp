@@ -24,8 +24,10 @@ enum : unsigned char { kCodecStored = 0, kCodecLz = 1 };
 
 /// Compresses `raw` into a self-describing payload (codec byte +
 /// stream).  Falls back to stored form whenever the LZ stream would not
-/// be strictly smaller than the input.
-std::string block_compress(const std::string& raw);
+/// be strictly smaller than the input.  The payload starts after
+/// `prefix` zero bytes the caller may overwrite -- a frame header, so
+/// the payload is never copied into its frame.
+std::string block_compress(const std::string& raw, std::size_t prefix = 0);
 
 /// Inverse of block_compress.  `expected_raw_size` comes from the block
 /// frame; a payload that is malformed or decodes to a different size

@@ -741,7 +741,9 @@ struct GroupedPartial {
 /// Merges per-block partials in block plan order -- the step that makes
 /// results bit-identical at any worker count -- through Acc::merge, and
 /// returns the groups sorted the way stats::group_metric documents:
-/// Value ordering, lexicographic across factors.
+/// Value ordering, lexicographic across factors.  NaN != NaN, so every
+/// NaN record keeps a group of its own; those groups tie under Value
+/// ordering and the stable sort leaves them in merge (plan) order.
 template <typename Acc>
 std::vector<std::pair<std::vector<Value>, Acc>> merge_partials(
     std::vector<GroupedPartial<Acc>>& slots) {
@@ -760,9 +762,10 @@ std::vector<std::pair<std::vector<Value>, Acc>> merge_partials(
   }
   std::vector<std::size_t> order(merged.keys.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return merged.keys[a] < merged.keys[b];
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return merged.keys[a] < merged.keys[b];
+                   });
   std::vector<std::pair<std::vector<Value>, Acc>> out;
   out.reserve(order.size());
   for (const std::size_t g : order) {

@@ -64,9 +64,11 @@ std::vector<Group> group_metric(const RawTable& table,
     out[slot].sequence.push_back(rec.sequence);
   }
 
-  // Keep the documented key ordering (Value ordering, lexicographic).
-  std::sort(out.begin(), out.end(),
-            [](const Group& a, const Group& b) { return key_less(a.key, b.key); });
+  // Keep the documented key ordering (Value ordering, lexicographic);
+  // NaN keys tie, so their one-record groups stay in sequence order.
+  std::stable_sort(out.begin(), out.end(), [](const Group& a, const Group& b) {
+    return key_less(a.key, b.key);
+  });
 
   // Order samples by sequence so temporal diagnostics can use them.
   // Engine output already arrives in sequence order, so the common case

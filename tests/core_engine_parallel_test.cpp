@@ -1,12 +1,17 @@
-// Determinism suite for the parallel campaign engine: sharded execution
-// must be bit-identical to sequential execution at any thread count.
-// Every comparison here is on serialized CSV text, the strongest equality
-// the bundle format can express.
+// Determinism suite for the parallel campaign engine: pooled, pipelined
+// execution must be bit-identical to sequential execution at any thread
+// count.  Every comparison here is on serialized CSV text, the strongest
+// equality the bundle format can express.
 
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -76,6 +81,126 @@ TEST(ParallelEngine, OpaqueSummaryIsBitIdenticalAcrossThreadCounts) {
   const std::string sequential = opaque_to_text(1, 12);
   EXPECT_EQ(opaque_to_text(2, 12), sequential);
   EXPECT_EQ(opaque_to_text(8, 12), sequential);
+}
+
+/// Measurement whose cost is skewed by plan index: every seventh run does
+/// ~100x the work of the others, so guided self-scheduling hands out
+/// uneven chunks and workers finish them in timing-dependent order.  Its
+/// metrics still depend only on the run and its random stream.
+MeasureResult skewed_measure(const PlannedRun& run, MeasureContext& ctx) {
+  const std::size_t spins = run.run_index % 7 == 0 ? 20000 : 200;
+  double acc = 0.0;
+  for (std::size_t i = 1; i <= spins; ++i) {
+    acc += std::sqrt(static_cast<double>(i) + run.values[0].as_real());
+  }
+  const double value = acc * ctx.rng->lognormal_factor(0.2);
+  return MeasureResult{{value, static_cast<double>(spins)}, value * 1e-9};
+}
+
+TEST(ParallelEngine, SkewedCostIsBitIdenticalAcrossThreadCounts) {
+  const Plan plan =
+      DesignBuilder(21)
+          .add(Factor::levels("size", {Value(1024), Value(4096), Value(16384)}))
+          .add(Factor::levels("stride", {Value(1), Value(8)}))
+          .replications(40)  // 240 runs
+          .randomize(true)
+          .build();
+  const auto csv_at = [&](std::size_t threads) {
+    Engine::Options options;
+    options.seed = 31;
+    options.threads = threads;
+    options.sink_batch = 37;  // several pipelined windows, ragged tail
+    std::ostringstream out;
+    Engine({"work", "spins"}, options).run(plan, skewed_measure).write_csv(out);
+    return out.str();
+  };
+  const std::string sequential = csv_at(1);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    EXPECT_EQ(csv_at(2), sequential) << "repeat " << repeat;
+    EXPECT_EQ(csv_at(8), sequential) << "repeat " << repeat;
+  }
+}
+
+/// A one-shot flag that threads can wait on: set() releases every
+/// current and future wait().  wait() gives up after a minute so a lost
+/// overlap fails the test instead of hanging it.
+class Flag {
+ public:
+  void set() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      set_ = true;
+    }
+    cv_.notify_all();
+  }
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::minutes(1), [&] { return set_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool set_ = false;
+};
+
+/// Collects every batch; consume() of the first batch runs `on_first`.
+class HookSink final : public RecordSink {
+ public:
+  explicit HookSink(std::function<void()> on_first)
+      : on_first_(std::move(on_first)) {}
+  void begin(const std::vector<std::string>& factors,
+             const std::vector<std::string>& metrics,
+             std::size_t expected) override {
+    inner_.begin(factors, metrics, expected);
+  }
+  void consume(std::vector<RawRecord> batch) override {
+    if (batches_++ == 0) on_first_();
+    inner_.consume(std::move(batch));
+  }
+  void close() override { inner_.close(); }
+  RawTable take() { return inner_.take(); }
+
+ private:
+  std::function<void()> on_first_;
+  TableSink inner_;
+  std::size_t batches_ = 0;
+};
+
+TEST(ParallelEngine, PooledWindowsMeasureTheNextWindowDuringTheSink) {
+  // Window 1's measurements block until the sink has begun consuming
+  // window 0, and that consume() blocks until a window 1 measurement has
+  // started: the campaign only completes if the two overlap.
+  const Plan plan = multi_factor_plan(17);  // 30 runs
+  Engine::Options options;
+  options.seed = 5;
+  options.threads = 2;
+  options.sink_batch = 8;
+  Flag window1_started, sink_saw_window1;
+  bool overlapped = false;
+  HookSink sink([&] {
+    overlapped = window1_started.wait();
+    sink_saw_window1.set();
+  });
+  const MeasureFn measure = [&](const PlannedRun& run, MeasureContext& ctx) {
+    if (run.run_index / 8 == 1) {
+      window1_started.set();
+      EXPECT_TRUE(sink_saw_window1.wait());
+    }
+    return noisy_measure(run, ctx);
+  };
+  Engine(std::vector<std::string>{"time_us", "noise"}, options)
+      .run(plan, measure, sink);
+  EXPECT_TRUE(overlapped);
+
+  // The overlap changed when the work ran, not what was recorded.
+  Engine::Options sequential = options;
+  sequential.threads = 1;
+  std::ostringstream ref, out;
+  Engine({"time_us", "noise"}, sequential).run(plan, noisy_measure)
+      .write_csv(ref);
+  sink.take().write_csv(out);
+  EXPECT_EQ(out.str(), ref.str());
 }
 
 TEST(ParallelEngine, ThreadsZeroResolvesToHardware) {

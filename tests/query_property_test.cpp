@@ -304,8 +304,8 @@ struct BoxedGroups {
 /// The group-by fold the engine ran before packed keys, over the
 /// materialized records: each bundle block (manifest order, which is
 /// plan order) folds its matching records into boxed-key groups, the
-/// blocks' groups merge in plan order, and the result sorts by key with
-/// Value ordering.  `records` is the full table in sequence order.
+/// blocks' groups merge in plan order, and the result stable-sorts by
+/// key with Value ordering (NaN keys tie, so they keep merge order).  `records` is the full table in sequence order.
 std::vector<BoxedGroup> boxed_fold(const RawTable& records,
                                    const ar::Manifest& manifest,
                                    const query::Expr* where,
@@ -331,10 +331,10 @@ std::vector<BoxedGroup> boxed_fold(const RawTable& records,
   }
   EXPECT_EQ(next, records.size()) << "blocks do not tile the table";
   std::vector<BoxedGroup> out = std::move(merged.groups);
-  std::sort(out.begin(), out.end(),
-            [](const BoxedGroup& a, const BoxedGroup& b) {
-              return a.key < b.key;
-            });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const BoxedGroup& a, const BoxedGroup& b) {
+                     return a.key < b.key;
+                   });
   return out;
 }
 
@@ -506,9 +506,9 @@ TEST(QueryProperty, EveryPathMatchesValueCompareAndMapGrouping) {
 }
 
 // NaN group keys keep the boxed fold's behaviour: NaN != NaN, so every
-// NaN record opens a group of its own, and the key sort -- which has no
-// strict weak order over NaN -- sees the groups in the same plan-order
-// sequence the boxed fold produced, so it places them the same way.
+// NaN record opens a group of its own.  Value ordering puts NaN after
+// every number and ties NaN with NaN, so the stable key sort places the
+// NaN groups after the numeric ones, in merge (plan) order.
 TEST(QueryProperty, NaNFactorLevelsKeepTheBoxedFoldsGroups) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   DesignBuilder builder(11);
@@ -549,6 +549,20 @@ TEST(QueryProperty, NaNFactorLevelsKeepTheBoxedFoldsGroups) {
       }
     }
     EXPECT_EQ(nan_groups, 2u * 2u * 4u);
+    // Within each prefix of the other keys, the NaN groups come last, in
+    // plan order.
+    for (std::size_t g = 1; g < boxed.size(); ++g) {
+      const std::vector<Value>& prev = boxed[g - 1].key;
+      const std::vector<Value>& key = boxed[g].key;
+      if (!std::equal(key.begin(), key.end() - 1, prev.begin())) continue;
+      const bool prev_nan =
+          prev.back().is_real() && std::isnan(prev.back().as_real());
+      const bool nan = key.back().is_real() && std::isnan(key.back().as_real());
+      EXPECT_FALSE(prev_nan && !nan) << "a number sorted after a NaN key";
+      if (prev_nan && nan) {
+        EXPECT_LT(boxed[g - 1].sequence.front(), boxed[g].sequence.front());
+      }
+    }
     for (const std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
       core::WorkerPool pool(workers, "query-nan");
       core::WorkerPool* p = workers > 1 ? &pool : nullptr;
