@@ -5,6 +5,8 @@
 // compression ratio >= 2x over CSV and bbx parallel read throughput >=
 // the CSV reader (medians of replicated reads in shuffled interleaved
 // order), with both readbacks value-identical to the in-memory table.
+// Write throughput is replicated in the same interleave and reported as
+// median and quartiles.
 //
 //   bench_archive [json-path] [--smoke]
 //
@@ -151,40 +153,45 @@ int main(int argc, char** argv) {
   // Reference table for value-identity checks (in-memory path).
   const RawTable reference = make_engine(1).run(plan, cheap_measure);
 
+  // One untimed write of each format supplies the files the reads time.
   Throughput csv, bbx;
   {
-    const auto t0 = std::chrono::steady_clock::now();
     io::CsvStreamSink sink(csv_path);
     engine.run(plan, cheap_measure, sink);
-    csv.write_rps = static_cast<double>(plan.size()) /
-                    std::max(seconds_since(t0), 1e-9);
-    csv.bytes = std::filesystem::file_size(csv_path);
   }
+  csv.bytes = std::filesystem::file_size(csv_path);
   {
-    const auto t0 = std::chrono::steady_clock::now();
     io::archive::BbxWriter sink(bbx_dir, {.shards = shards});
     engine.run(plan, cheap_measure, sink);
-    bbx.write_rps = static_cast<double>(plan.size()) /
-                    std::max(seconds_since(t0), 1e-9);
-    bbx.bytes = dir_bytes(bbx_dir);
   }
+  bbx.bytes = dir_bytes(bbx_dir);
 
-  // Read throughput, CSV reader vs bbx parallel and sequential decode:
-  // kReadReplicates timed reads of each, run in one shuffled interleaved
-  // order so drift, page-cache warmth, heap growth and neighbouring load
-  // hit every arm alike.  The gate compares medians; quartiles go into
-  // the JSON.  An untimed sequential read first supplies the reference
-  // table the timed reads are checked against.
-  constexpr std::size_t kReadReplicates = 11;
-  enum Arm { kCsvRead, kBbxParallel, kBbxSequential, kArms };
+  // Write and read throughput: kReplicates timed runs of each arm --
+  // CSV and bbx writes, the CSV reader, bbx parallel and sequential
+  // decode -- in one shuffled interleaved order so drift, page-cache
+  // warmth, heap growth and neighbouring load hit every arm alike.  The
+  // gate compares medians; quartiles go into the JSON.  An untimed
+  // sequential read first supplies the reference table the timed reads
+  // are checked against; timed writes go to their own paths.
+  constexpr std::size_t kReplicates = 11;
+  enum Arm {
+    kCsvWrite,
+    kBbxWrite,
+    kCsvRead,
+    kBbxParallel,
+    kBbxSequential,
+    kArms
+  };
+  const std::string csv_write_path = dir + "/written.csv";
+  const std::string bbx_write_dir = dir + "/written";
   RawTable csv_back({}, {});
   RawTable bbx_back({}, {});
-  std::vector<double> read_rps[kArms];
+  std::vector<double> rps[kArms];
   {
     const io::archive::BbxReader reader(bbx_dir);
     bbx_back = reader.read_all();
     core::WorkerPool pool(threads, "bbx-bench");
-    std::vector<int> order(kArms * kReadReplicates);
+    std::vector<int> order(kArms * kReplicates);
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<int>(i % kArms);
     }
@@ -192,6 +199,21 @@ int main(int argc, char** argv) {
     std::shuffle(order.begin(), order.end(), rng);
     bool bbx_identical = true;
     for (const int arm : order) {
+      if (arm == kCsvWrite || arm == kBbxWrite) {
+        std::filesystem::remove_all(bbx_write_dir);
+        std::filesystem::remove(csv_write_path);
+        const auto t1 = std::chrono::steady_clock::now();
+        if (arm == kCsvWrite) {
+          io::CsvStreamSink sink(csv_write_path);
+          engine.run(plan, cheap_measure, sink);
+        } else {
+          io::archive::BbxWriter sink(bbx_write_dir, {.shards = shards});
+          engine.run(plan, cheap_measure, sink);
+        }
+        rps[arm].push_back(static_cast<double>(plan.size()) /
+                           std::max(seconds_since(t1), 1e-9));
+        continue;
+      }
       const auto t1 = std::chrono::steady_clock::now();
       RawTable back({}, {});
       if (arm == kCsvRead) {
@@ -200,8 +222,8 @@ int main(int argc, char** argv) {
       } else {
         back = reader.read_all(arm == kBbxParallel ? &pool : nullptr);
       }
-      read_rps[arm].push_back(static_cast<double>(back.size()) /
-                              std::max(seconds_since(t1), 1e-9));
+      rps[arm].push_back(static_cast<double>(back.size()) /
+                         std::max(seconds_since(t1), 1e-9));
       if (arm == kCsvRead) {
         csv_back = std::move(back);
       } else {
@@ -211,9 +233,13 @@ int main(int argc, char** argv) {
     check.expect(bbx_identical,
                  "bbx timed decodes identical to the reference decode");
   }
-  const Quartiles csv_read = quartiles(read_rps[kCsvRead]);
-  const Quartiles bbx_read = quartiles(read_rps[kBbxParallel]);
-  const Quartiles bbx_seq_read = quartiles(read_rps[kBbxSequential]);
+  const Quartiles csv_write = quartiles(rps[kCsvWrite]);
+  const Quartiles bbx_write = quartiles(rps[kBbxWrite]);
+  csv.write_rps = csv_write.median;
+  bbx.write_rps = bbx_write.median;
+  const Quartiles csv_read = quartiles(rps[kCsvRead]);
+  const Quartiles bbx_read = quartiles(rps[kBbxParallel]);
+  const Quartiles bbx_seq_read = quartiles(rps[kBbxSequential]);
   csv.read_rps = csv_read.median;
   bbx.read_rps = bbx_read.median;
 
@@ -263,7 +289,7 @@ int main(int argc, char** argv) {
   check.expect(ratio >= 2.0, "bbx compression ratio >= 2x over CSV");
   check.expect(bbx.read_rps >= csv.read_rps,
                "bbx parallel read throughput >= CSV reader (median of " +
-                   std::to_string(kReadReplicates) + " interleaved reads)");
+                   std::to_string(kReplicates) + " interleaved reads)");
 
   io::TextTable table({"format", "write rec/s", "read rec/s", "bytes",
                        "bytes/record"});
@@ -300,13 +326,11 @@ int main(int argc, char** argv) {
   json << "{\n  \"bench\": \"archive\",\n  \"runs\": " << plan.size()
        << ",\n  \"threads\": " << threads << ",\n  \"shards\": " << shards
        << ",\n  \"smoke\": " << (smoke ? "true" : "false")
-       << ",\n  \"read_replicates\": " << kReadReplicates << ",\n";
-  std::snprintf(buf, sizeof buf, "%.1f", csv.write_rps);
-  json << "  \"csv\": {\"write_records_per_sec\": " << buf;
+       << ",\n  \"replicates\": " << kReplicates << ",\n";
+  json << "  \"csv\": {\"write_records_per_sec\": " << quartile_json(csv_write);
   json << ", \"read_records_per_sec\": " << quartile_json(csv_read)
        << ", \"bytes\": " << csv.bytes << "},\n";
-  std::snprintf(buf, sizeof buf, "%.1f", bbx.write_rps);
-  json << "  \"bbx\": {\"write_records_per_sec\": " << buf;
+  json << "  \"bbx\": {\"write_records_per_sec\": " << quartile_json(bbx_write);
   json << ", \"read_records_per_sec\": " << quartile_json(bbx_read);
   json << ", \"read_records_per_sec_sequential\": "
        << quartile_json(bbx_seq_read) << ", \"bytes\": " << bbx.bytes

@@ -217,18 +217,24 @@ void drive(const Engine& engine, const std::vector<PlannedRun>& order,
     Rng run_rng(seeds[k]);
     MeasureContext ctx{now_s, sweep ? into.begin + k : run.run_index,
                        &run_rng, w};
-    const auto t0 =
-        stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
     MeasureResult result = measures[w](run, ctx);
-    if (stats != nullptr) {
-      busy_s[w] += seconds_between(t0, SteadyClock::now());
-    }
     if (result.metrics.size() != width) {
       throw std::runtime_error("Engine: measurement width mismatch");
     }
     std::copy(result.metrics.begin(), result.metrics.end(),
               into.metrics.begin() + static_cast<std::ptrdiff_t>(k * width));
     into.elapsed_s[k] = result.elapsed_s;
+  };
+  // Busy time is read per chunk of runs (the whole window inline), not
+  // per run: two clock reads per measurement are worker CPU the runs
+  // themselves do not need.
+  const auto busy_start = [&] {
+    return stats != nullptr ? SteadyClock::now() : SteadyClock::time_point{};
+  };
+  const auto busy_stop = [&](std::size_t w, SteadyClock::time_point t0) {
+    if (stats != nullptr) {
+      busy_s[w] += seconds_between(t0, SteadyClock::now());
+    }
   };
   // Under the indexed clock a timestamp is a pure function of the plan
   // index; under the accumulated clock it is the threaded `now`, which
@@ -273,18 +279,24 @@ void drive(const Engine& engine, const std::vector<PlannedRun>& order,
       CAL_TIME_SCOPE("engine.window_seconds");
       if (pool == nullptr) {
         stamps.resize(n);
+        const auto t0 = busy_start();
         for (std::size_t k = 0; k < n; ++k) {
           stamps[k] = stamp(current, k);
           measure(current, 0, k, stamps[k]);
           now += current.elapsed_s[k] + gap;
         }
+        busy_stop(0, t0);
       } else {
         std::function<void()> meanwhile;
         if (unmerged != nullptr) meanwhile = [&] { settle(*unmerged); };
-        pool->run_indexed(
+        pool->run_chunks(
             n,
-            [&](std::size_t w, std::size_t k) {
-              measure(current, w, k, options.start_time_s);
+            [&](std::size_t w, std::size_t first, std::size_t last) {
+              const auto t0 = busy_start();
+              for (std::size_t k = first; k < last; ++k) {
+                measure(current, w, k, options.start_time_s);
+              }
+              busy_stop(w, t0);
             },
             workers, meanwhile);
       }

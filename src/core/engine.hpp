@@ -126,7 +126,7 @@ struct WindowStats {
   double wall_s = 0.0;         ///< summed per-window (step) wall-clock
   double min_window_s = 0.0;   ///< fastest window
   double max_window_s = 0.0;   ///< slowest window
-  double busy_s = 0.0;         ///< summed per-run measurement wall-clock
+  double busy_s = 0.0;         ///< summed worker measurement wall-clock
 
   double occupancy() const noexcept {
     const double capacity = wall_s * static_cast<double>(threads);

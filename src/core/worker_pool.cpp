@@ -131,18 +131,19 @@ void WorkerPool::barrier() {
   std::rethrow_exception(first->error);
 }
 
-void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
-                             std::size_t width,
-                             const std::function<void()>& meanwhile) {
+void WorkerPool::run_chunks(std::size_t count, const ChunkTask& body,
+                            std::size_t width,
+                            const std::function<void()>& meanwhile) {
   if (width == 0 || width > size()) width = size();
   struct WorkerStop {
-    std::size_t index = 0;
+    std::size_t first = 0;  ///< the failing chunk's first index
     std::exception_ptr error;
   };
   // One slot per worker: a worker records its first failure here and
   // stops, so exceptions never reach the pool-level capture and the
-  // lowest *index* (not the earliest submission) decides what the
-  // caller sees.
+  // lowest chunk (not the earliest submission) decides what the caller
+  // sees.  Chunks are disjoint, so the lowest failing chunk holds the
+  // lowest failing index.
   std::vector<std::optional<WorkerStop>> stops(width);
   std::atomic<std::size_t> next{0};  // first index not yet claimed
   const std::size_t divisor = 2 * width;
@@ -158,11 +159,10 @@ void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
                                         std::memory_order_relaxed)) {
           continue;
         }
-        std::size_t k = first;
         try {
-          for (; k < last; ++k) body(worker, k);
+          body(worker, first, last);
         } catch (...) {
-          stops[worker] = WorkerStop{k, std::current_exception()};
+          stops[worker] = WorkerStop{first, std::current_exception()};
           return;
         }
         first = next.load(std::memory_order_relaxed);
@@ -181,11 +181,22 @@ void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
   if (meanwhile_error) std::rethrow_exception(meanwhile_error);
   const WorkerStop* lowest = nullptr;
   for (const auto& stop : stops) {
-    if (stop && (lowest == nullptr || stop->index < lowest->index)) {
+    if (stop && (lowest == nullptr || stop->first < lowest->first)) {
       lowest = &*stop;
     }
   }
   if (lowest != nullptr) std::rethrow_exception(lowest->error);
+}
+
+void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
+                             std::size_t width,
+                             const std::function<void()>& meanwhile) {
+  run_chunks(
+      count,
+      [&body](std::size_t worker, std::size_t first, std::size_t last) {
+        for (std::size_t k = first; k < last; ++k) body(worker, k);
+      },
+      width, meanwhile);
 }
 
 }  // namespace cal::core

@@ -15,11 +15,13 @@
 //     barrier-delimited batch goes to worker i % size(), and the cursor
 //     resets at every barrier), so the task -> worker mapping never
 //     depends on timing;
-//   * run_indexed() hands an indexed window out by guided
+//   * run_chunks() / run_indexed() hand an indexed window out by guided
 //     self-scheduling: each worker claims the next
 //     max(1, remaining / (2 * width)) indices with one compare-and-swap,
 //     so the claims shrink as the window drains and a slow index cannot
-//     leave the other workers idle.  Which worker runs which index
+//     leave the other workers idle.  run_chunks() passes each claim to
+//     the body whole, so per-claim work (a clock read) is paid once per
+//     chunk rather than per index.  Which worker runs which index
 //     depends on timing; callers whose results must not (the engine)
 //     keep nothing per worker that reaches the output;
 //   * run_indexed() can run a "meanwhile" callable on the calling
@@ -55,6 +57,9 @@ class WorkerPool {
   /// An indexed window body for run_indexed().
   using IndexedTask = std::function<void(std::size_t worker,
                                          std::size_t index)>;
+  /// A chunk body for run_chunks(): runs indices [first, last) in order.
+  using ChunkTask = std::function<void(std::size_t worker, std::size_t first,
+                                       std::size_t last)>;
 
   /// Spawns `threads` workers (clamped to at least 1), named
   /// "<name>/<w>" where the platform supports thread names.
@@ -84,17 +89,24 @@ class WorkerPool {
 
   /// Executes `count` indexed tasks on the first `width` workers
   /// (width = 0 or > size() means all workers) by guided
-  /// self-scheduling, runs `meanwhile` (if set) on the calling thread
-  /// while they are in flight, and waits for both.  A worker runs each
-  /// claimed chunk in increasing index order and stops at its first
-  /// failure; the others drain the window.  Every index below the lowest
-  /// failing one therefore runs, and that failure is the one rethrown --
+  /// self-scheduling, handing `body` each claimed chunk [first, last)
+  /// whole, runs `meanwhile` (if set) on the calling thread while they
+  /// are in flight, and waits for both.  A chunk body runs its indices in
+  /// increasing order; a worker stops at its first failing chunk and the
+  /// others drain the window.  Every chunk below the lowest failing one
+  /// therefore runs, and that chunk's failure is the one rethrown --
   /// unless `meanwhile` threw, which wins (the caller's earlier work in
   /// program order).  The window is always waited for before anything
   /// propagates, and the pool stays reusable.  `meanwhile` must not use
   /// this pool.  A width below size() lets a caller with fewer
   /// per-worker resources (e.g. simulator replicas) than the pool has
   /// workers keep to its resource count.
+  void run_chunks(std::size_t count, const ChunkTask& body,
+                  std::size_t width = 0,
+                  const std::function<void()>& meanwhile = {});
+
+  /// run_chunks() with a body per index: every index below the lowest
+  /// failing one runs, and that index's failure is the one rethrown.
   void run_indexed(std::size_t count, const IndexedTask& body,
                    std::size_t width = 0,
                    const std::function<void()>& meanwhile = {});

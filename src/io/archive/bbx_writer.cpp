@@ -1,7 +1,5 @@
 #include "io/archive/bbx_writer.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <sstream>
@@ -11,108 +9,10 @@
 #include "core/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "io/archive/block_codec.hpp"
-#include "io/archive/column_codec.hpp"
 #include "io/archive/crc32.hpp"
 #include "io/archive/wire.hpp"
 
 namespace cal::io::archive {
-
-namespace {
-
-/// Numeric zone over already-widened doubles; degrades to kNone when any
-/// value is non-finite (JSON cannot carry inf/nan, and a NaN row defeats
-/// interval pruning anyway).
-template <typename Values>
-ColumnStats numeric_stats(const Values& values) {
-  if (values.empty()) return ColumnStats{};  // no front() to seed from
-  ColumnStats stats;
-  stats.kind = ColumnStats::Kind::kNumeric;
-  stats.min = stats.max = static_cast<double>(values.front());
-  for (const auto v : values) {
-    const double d = static_cast<double>(v);
-    if (!std::isfinite(d)) return ColumnStats{};
-    stats.min = std::min(stats.min, d);
-    stats.max = std::max(stats.max, d);
-  }
-  return stats;
-}
-
-/// Zone map of one factor column: numeric [min, max] when every value in
-/// the block is numeric, level membership when every value is a string
-/// (capped at kZoneMaxLevels distinct levels), kNone for mixed blocks.
-ColumnStats factor_stats(const std::vector<RawRecord>& records,
-                         std::size_t col) {
-  if (records.empty()) return ColumnStats{};  // no front() to seed from
-  bool any_numeric = false, any_string = false;
-  for (const RawRecord& r : records) {
-    (r.factors[col].is_string() ? any_string : any_numeric) = true;
-  }
-  if (any_numeric && !any_string) {
-    ColumnStats stats;
-    stats.kind = ColumnStats::Kind::kNumeric;
-    stats.min = stats.max = records.front().factors[col].as_real();
-    for (const RawRecord& r : records) {
-      const double d = r.factors[col].as_real();
-      if (!std::isfinite(d)) return ColumnStats{};
-      stats.min = std::min(stats.min, d);
-      stats.max = std::max(stats.max, d);
-    }
-    return stats;
-  }
-  if (any_string && !any_numeric) {
-    // At most kZoneMaxLevels distinct levels: a linear scan of them is
-    // cheaper per record than a tree insert, and copies nothing.
-    std::vector<const std::string*> levels;
-    for (const RawRecord& r : records) {
-      const std::string& level = r.factors[col].as_string();
-      if (std::none_of(levels.begin(), levels.end(),
-                       [&](const std::string* seen) { return *seen == level; })) {
-        if (levels.size() == kZoneMaxLevels) return ColumnStats{};
-        levels.push_back(&level);
-      }
-    }
-    std::sort(levels.begin(), levels.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    ColumnStats stats;
-    stats.kind = ColumnStats::Kind::kStrings;
-    stats.levels.reserve(levels.size());
-    for (const std::string* level : levels) stats.levels.push_back(*level);
-    return stats;
-  }
-  return ColumnStats{};
-}
-
-}  // namespace
-
-BlockStats compute_block_stats(const std::vector<RawRecord>& records,
-                               std::size_t n_factors, std::size_t n_metrics) {
-  BlockStats stats;
-  stats.columns.reserve(4 + n_factors + n_metrics);
-  std::vector<double> scratch(records.size());
-  const auto bookkeeping = [&](auto&& field) -> ColumnStats {
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      scratch[i] = static_cast<double>(field(records[i]));
-    }
-    return numeric_stats(scratch);
-  };
-  stats.columns.push_back(
-      bookkeeping([](const RawRecord& r) { return r.sequence; }));
-  stats.columns.push_back(
-      bookkeeping([](const RawRecord& r) { return r.cell_index; }));
-  stats.columns.push_back(
-      bookkeeping([](const RawRecord& r) { return r.replicate; }));
-  stats.columns.push_back(
-      bookkeeping([](const RawRecord& r) { return r.timestamp_s; }));
-  for (std::size_t f = 0; f < n_factors; ++f) {
-    stats.columns.push_back(factor_stats(records, f));
-  }
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    stats.columns.push_back(bookkeeping(
-        [m](const RawRecord& r) { return r.metrics[m]; }));
-  }
-  return stats;
-}
 
 BbxWriter::BbxWriter(std::string dir, Options options)
     : dir_(std::move(dir)), options_(options) {
@@ -178,22 +78,25 @@ void BbxWriter::consume(std::vector<RawRecord> batch) {
 void BbxWriter::flush_block() {
   if (pending_.empty()) return;
   CAL_SPAN("bbx.flush_block");
+  BlockStats zones;
   {
+    // One pass over the records: bbx.encode_seconds covers the image
+    // and the zone map.
     CAL_TIME_SCOPE("bbx.encode_seconds");
-    scratch_raw_ = encode_block(pending_.data(), pending_.size(),
-                                manifest_.factor_names.size(),
-                                manifest_.metric_names.size());
+    zones = encoder_.encode(pending_.data(), pending_.size(),
+                            manifest_.factor_names.size(),
+                            manifest_.metric_names.size());
   }
+  const std::string& raw = encoder_.image();
   // The frame is the 12-byte header followed by the stored payload; the
   // payload is compressed in place behind the header's placeholder.
   constexpr std::size_t kHeader = 12;
-  std::string frame;
   {
     CAL_TIME_SCOPE("bbx.compress_seconds");
-    frame = block_compress(scratch_raw_, kHeader);
+    compressor_.compress(raw.data(), raw.size(), kHeader, frame_);
   }
-  const char* const stored = frame.data() + kHeader;
-  const std::size_t stored_size = frame.size() - kHeader;
+  const char* const stored = frame_.data() + kHeader;
+  const std::size_t stored_size = frame_.size() - kHeader;
 
   BlockInfo info;
   // Round-robin by *global* block index: a partial bundle's blocks land
@@ -202,38 +105,35 @@ void BbxWriter::flush_block() {
       (options_.first_block + manifest_.blocks.size()) % options_.shards);
   info.offset = shard_offsets_[info.shard];
   info.stored_bytes = static_cast<std::uint32_t>(stored_size);
-  info.raw_bytes = static_cast<std::uint32_t>(scratch_raw_.size());
+  info.raw_bytes = static_cast<std::uint32_t>(raw.size());
   {
     CAL_TIME_SCOPE("bbx.crc_seconds");
     info.crc32 = crc32(stored, stored_size);
   }
   CAL_COUNT("bbx.blocks_flushed", 1);
   CAL_COUNT("bbx.records_flushed", pending_.size());
-  CAL_COUNT("bbx.bytes_raw", scratch_raw_.size());
+  CAL_COUNT("bbx.bytes_raw", raw.size());
   CAL_COUNT("bbx.bytes_stored", stored_size);
   info.first_sequence = pending_.front().sequence;
   info.records = static_cast<std::uint32_t>(pending_.size());
 
   // Header: sizes + checksum repeated in the shard itself, so a shard is
   // walkable (and corruption localizable) even without the manifest.
-  std::string header;
-  put_u32le(header, info.stored_bytes);
-  put_u32le(header, info.raw_bytes);
-  put_u32le(header, info.crc32);
-  frame.replace(0, kHeader, header);
+  char* header = frame_.data();
+  header = store_u32le(header, info.stored_bytes);
+  header = store_u32le(header, info.raw_bytes);
+  store_u32le(header, info.crc32);
 
   std::ofstream& out = shards_[info.shard];
-  CAL_FAULT_WRITE("bbx.flush_block", out, frame.data(), frame.size());
+  CAL_FAULT_WRITE("bbx.flush_block", out, frame_.data(), frame_.size());
   if (!out) {
     throw std::runtime_error("BbxWriter: write failed on shard " +
                              std::to_string(info.shard));
   }
-  shard_offsets_[info.shard] += frame.size();
+  shard_offsets_[info.shard] += frame_.size();
   records_ += pending_.size();
   manifest_.blocks.push_back(info);
-  manifest_.zones.push_back(compute_block_stats(
-      pending_, manifest_.factor_names.size(),
-      manifest_.metric_names.size()));
+  manifest_.zones.push_back(std::move(zones));
   pending_.clear();
 }
 

@@ -3,7 +3,8 @@
 //
 // The writer buffers the engine's plan-ordered batches into fixed-size
 // blocks (Options::block_records), pivots each full block into columns
-// (column_codec), compresses it (block_codec), checksums the stored
+// and its zone map in one pass over the records (column_codec's
+// BlockEncoder), compresses it (block_codec), checksums the stored
 // payload (crc32), and appends the framed block to one of
 // Options::shards shard files, round-robin by block index.  Because the
 // engine delivers identical plan-ordered batches at any thread count,
@@ -27,6 +28,8 @@
 #include <vector>
 
 #include "core/record_sink.hpp"
+#include "io/archive/block_codec.hpp"
+#include "io/archive/column_codec.hpp"
 #include "io/archive/manifest.hpp"
 
 namespace cal::io::archive {
@@ -34,13 +37,6 @@ namespace cal::io::archive {
 /// First bytes of every shard file.
 inline constexpr char kShardMagic[8] = {'b', 'b', 'x', 's',
                                         'h', 'd', '0', '1'};
-
-/// Zone-map statistics of one block's records (what the writer stores
-/// in Manifest::zones).  Empty input yields all-kNone columns -- a zone
-/// that prunes nothing -- rather than reading a front() that is not
-/// there; exposed so the degenerate cases stay testable.
-BlockStats compute_block_stats(const std::vector<RawRecord>& records,
-                               std::size_t n_factors, std::size_t n_metrics);
 
 struct BbxWriterOptions {
   std::size_t shards = 1;          ///< shard files (>= 1)
@@ -72,9 +68,10 @@ class BbxWriter final : public RecordSink {
              std::size_t expected_records) override;
   void consume(std::vector<RawRecord> batch) override;
 
-  /// Flushes the partial tail block, writes the manifest, fsync-closes
-  /// the shard streams, and (when atomic) renames everything into place,
-  /// manifest last.  Idempotent; throws on any write failure.
+  /// Flushes the partial tail block, flushes and closes the shard
+  /// streams (no fsync), writes the manifest, and (when atomic) renames
+  /// everything into place, manifest last.  Idempotent; throws on any
+  /// write failure.
   void close() override;
 
   /// Adds a campaign-metadata entry to the manifest (call before
@@ -94,7 +91,9 @@ class BbxWriter final : public RecordSink {
   std::vector<std::ofstream> shards_;
   std::vector<std::uint64_t> shard_offsets_;
   std::vector<RawRecord> pending_;  ///< current block, < block_records
-  std::string scratch_raw_;         ///< reused block image buffer
+  BlockEncoder encoder_;            ///< image + zone map, one pass
+  BlockCompressor compressor_;      ///< LZ table kept across blocks
+  std::string frame_;               ///< reused header + payload buffer
   std::size_t records_ = 0;
   bool begun_ = false;
   bool closed_ = false;

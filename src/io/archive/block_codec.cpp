@@ -1,7 +1,10 @@
 #include "io/archive/block_codec.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -14,80 +17,139 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr std::size_t kHashBits = 15;
+// Table entries: scale position in the low 32 bits, the 4-byte window
+// found there in the high 32.  Scale positions of one block sit past
+// every earlier block's by more
+// than kMaxOffset, and scale position 0 -- a fresh table's entry -- is
+// as far out of reach.
+constexpr std::uint64_t kFirstBase = kMaxOffset + 1;
 
-inline std::uint32_t hash4(const char* p) {
+inline std::uint32_t load_u32(const char* p) {
   std::uint32_t v = 0;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline std::uint64_t load_u64(const char* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline std::uint32_t hash4(std::uint32_t v) {
   // Fibonacci hash of the 4-byte window, folded to kHashBits.
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-inline void put_length(std::string& out, std::size_t extra) {
+/// Length of the common run of a[0, limit) and b[0, limit), 8 bytes per
+/// step: the lowest set bit of the first nonzero XOR is the first
+/// differing byte of a little-endian load.
+inline std::size_t common_length(const char* a, const char* b,
+                                 std::size_t limit) {
+  std::size_t len = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    while (len + 8 <= limit) {
+      const std::uint64_t diff = load_u64(a + len) ^ load_u64(b + len);
+      if (diff != 0) {
+        return len + static_cast<std::size_t>(std::countr_zero(diff) >> 3);
+      }
+      len += 8;
+    }
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+inline char* put_length(char* op, std::size_t extra) {
   // 255-continuation length extension (LZ4 style): emitted only when the
   // nibble saturated at 15.
   while (extra >= 255) {
-    out.push_back(static_cast<char>(0xff));
+    *op++ = static_cast<char>(0xff);
     extra -= 255;
   }
-  out.push_back(static_cast<char>(extra));
+  *op++ = static_cast<char>(extra);
+  return op;
 }
 
-void emit_sequence(std::string& out, const char* lit, std::size_t lit_len,
-                   std::size_t match_len, std::size_t offset) {
+char* emit_sequence(char* op, const char* lit, std::size_t lit_len,
+                    std::size_t match_len, std::size_t offset) {
   const std::size_t lit_nibble = lit_len < 15 ? lit_len : 15;
   const bool has_match = match_len >= kMinMatch;
   const std::size_t match_extra = has_match ? match_len - kMinMatch : 0;
   const std::size_t match_nibble =
       has_match ? (match_extra < 15 ? match_extra : 15) : 0;
-  out.push_back(static_cast<char>((lit_nibble << 4) | match_nibble));
-  if (lit_nibble == 15) put_length(out, lit_len - 15);
-  out.append(lit, lit_len);
-  if (!has_match) return;  // final literals-only sequence
-  out.push_back(static_cast<char>(offset & 0xff));
-  out.push_back(static_cast<char>((offset >> 8) & 0xff));
-  if (match_nibble == 15) put_length(out, match_extra - 15);
+  *op++ = static_cast<char>((lit_nibble << 4) | match_nibble);
+  if (lit_nibble == 15) op = put_length(op, lit_len - 15);
+  std::memcpy(op, lit, lit_len);
+  op += lit_len;
+  if (!has_match) return op;  // final literals-only sequence
+  *op++ = static_cast<char>(offset & 0xff);
+  *op++ = static_cast<char>((offset >> 8) & 0xff);
+  if (match_nibble == 15) op = put_length(op, match_extra - 15);
+  return op;
 }
 
 }  // namespace
 
-std::string block_compress(const std::string& raw, std::size_t prefix) {
+BlockCompressor::BlockCompressor()
+    : table_(std::size_t{1} << kHashBits, 0), base_(kFirstBase) {}
+
+void BlockCompressor::compress(const char* data, std::size_t n,
+                               std::size_t prefix, std::string& out) {
+  constexpr std::uint64_t kScale = std::numeric_limits<std::uint32_t>::max();
+  if (n > kScale - kFirstBase) {
+    throw std::length_error("bbx: block too large to compress");
+  }
+  if (base_ + n > kScale) {
+    // The scale wraps: start it over on a cleared table.
+    std::fill(table_.begin(), table_.end(), std::uint64_t{0});
+    base_ = kFirstBase;
+  }
+  const auto base = static_cast<std::uint32_t>(base_);
+  base_ += n + kMaxOffset + 1;
+
   // Room for the worst case -- the LZ stream of an incompressible block
-  // runs one length byte per 255 literals past the input -- so the
-  // buffer never regrows, and the stored fallback fits too.
-  std::string out;
-  out.reserve(prefix + raw.size() + raw.size() / 255 + 16);
-  out.assign(prefix, '\0');
-  out.push_back(static_cast<char>(kCodecLz));
+  // runs one length byte per 255 literals past the input -- so every
+  // write below lands inside the buffer, and the stored fallback fits.
+  out.resize(prefix + 1 + n + n / 255 + 16);
+  char* const start = out.data() + prefix;
+  std::memset(out.data(), 0, prefix);
+  char* op = start;
+  *op++ = static_cast<char>(kCodecLz);
 
-  const char* data = raw.data();
-  const std::size_t n = raw.size();
-  std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
-
+  std::uint64_t* const table = table_.data();
   std::size_t anchor = 0;  // first literal not yet emitted
   std::size_t i = 0;
-  while (n >= kMinMatch && i + kMinMatch <= n) {
-    const std::uint32_t h = hash4(data + i);
-    const std::uint32_t candidate = table[h];
-    table[h] = static_cast<std::uint32_t>(i);
-    if (candidate != 0xFFFFFFFFu && i - candidate <= kMaxOffset &&
-        std::memcmp(data + candidate, data + i, kMinMatch) == 0) {
-      std::size_t len = kMinMatch;
-      while (i + len < n && data[candidate + len] == data[i + len]) ++len;
-      emit_sequence(out, data + anchor, i - anchor, len, i - candidate);
-      i += len;
-      anchor = i;
-    } else {
+  while (i + kMinMatch <= n) {
+    const std::uint32_t window = load_u32(data + i);
+    const std::uint32_t pos = base + static_cast<std::uint32_t>(i);
+    // An entry is a position and the 4 bytes found there, so checking a
+    // candidate reads the table, not the block.  An empty slot or an
+    // earlier block's entry is always more than kMaxOffset away.
+    std::uint64_t& entry = table[hash4(window)];
+    const std::uint32_t distance = pos - static_cast<std::uint32_t>(entry);
+    const bool match = (static_cast<std::uint32_t>(entry >> 32) == window) &
+                       (distance <= kMaxOffset);
+    entry = static_cast<std::uint64_t>(window) << 32 | pos;
+    if (!match) [[likely]] {
       ++i;
+      continue;
     }
+    const std::size_t len =
+        kMinMatch + common_length(data + i - distance + kMinMatch,
+                                  data + i + kMinMatch, n - i - kMinMatch);
+    op = emit_sequence(op, data + anchor, i - anchor, len, distance);
+    i += len;
+    anchor = i;
   }
-  emit_sequence(out, data + anchor, n - anchor, 0, 0);
+  op = emit_sequence(op, data + anchor, n - anchor, 0, 0);
 
-  if (out.size() - prefix >= raw.size() + 1) {
-    out.resize(prefix);
-    out.push_back(static_cast<char>(kCodecStored));
-    out.append(raw);
+  if (static_cast<std::size_t>(op - start) >= n + 1) {
+    *start = static_cast<char>(kCodecStored);
+    std::memcpy(start + 1, data, n);
+    op = start + 1 + n;
   }
-  return out;
+  out.resize(static_cast<std::size_t>(op - out.data()));
 }
 
 namespace {

@@ -1,8 +1,11 @@
 #include "io/archive/column_codec.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 #include "simd/dispatch.hpp"
@@ -18,16 +21,6 @@ enum : unsigned char {
   kColString = 2,  // dictionary + per-record indices
   kColMixed = 3,   // per-value kind tag; strings share the dictionary
 };
-
-void encode_delta_column(std::string& out, const RawRecord* records,
-                         std::size_t n, std::size_t RawRecord::*field) {
-  std::int64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = static_cast<std::int64_t>(records[i].*field);
-    put_svarint(out, v - prev);
-    prev = v;
-  }
-}
 
 /// Streams a delta-varint payload through the dispatched kernel into
 /// the running prefix values (two's-complement bit patterns).
@@ -56,15 +49,6 @@ std::vector<double> decode_f64_column(ByteReader& r, std::size_t n) {
   return out;
 }
 
-void write_dictionary(std::string& out,
-                      const std::vector<const std::string*>& dict) {
-  put_varint(out, dict.size());
-  for (const std::string* s : dict) {
-    put_varint(out, s->size());
-    out.append(*s);
-  }
-}
-
 std::vector<Value> read_dictionary(ByteReader& r) {
   const std::uint64_t size = r.varint();
   std::vector<Value> dict;
@@ -82,72 +66,6 @@ std::uint32_t read_code(ByteReader& r, std::size_t levels) {
     throw std::runtime_error("bbx: dictionary index out of range");
   }
   return static_cast<std::uint32_t>(idx);
-}
-
-void encode_factor_column(std::string& out, const RawRecord* records,
-                          std::size_t n, std::size_t col) {
-  bool any_int = false, any_real = false, any_string = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (records[i].factors[col].kind()) {
-      case ValueKind::kInt: any_int = true; break;
-      case ValueKind::kReal: any_real = true; break;
-      case ValueKind::kString: any_string = true; break;
-    }
-  }
-
-  // Dictionary of the block's distinct strings, first-appearance order.
-  std::vector<const std::string*> dict;
-  std::unordered_map<std::string, std::uint64_t> dict_index;
-  if (any_string) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value& v = records[i].factors[col];
-      if (!v.is_string()) continue;
-      if (dict_index.emplace(v.as_string(), dict.size()).second) {
-        dict.push_back(&v.as_string());
-      }
-    }
-  }
-
-  if (any_int && !any_real && !any_string) {
-    put_u8(out, kColInt);
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t v = records[i].factors[col].as_int();
-      put_svarint(out, v - prev);
-      prev = v;
-    }
-  } else if (any_real && !any_int && !any_string) {
-    put_u8(out, kColReal);
-    for (std::size_t i = 0; i < n; ++i) {
-      put_f64le(out, records[i].factors[col].as_real());
-    }
-  } else if (any_string && !any_int && !any_real) {
-    put_u8(out, kColString);
-    write_dictionary(out, dict);
-    for (std::size_t i = 0; i < n; ++i) {
-      put_varint(out, dict_index.at(records[i].factors[col].as_string()));
-    }
-  } else {
-    put_u8(out, kColMixed);
-    write_dictionary(out, dict);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Value& v = records[i].factors[col];
-      switch (v.kind()) {
-        case ValueKind::kInt:
-          put_u8(out, 0);
-          put_svarint(out, v.as_int());
-          break;
-        case ValueKind::kReal:
-          put_u8(out, 1);
-          put_f64le(out, v.as_real());
-          break;
-        case ValueKind::kString:
-          put_u8(out, 2);
-          put_varint(out, dict_index.at(v.as_string()));
-          break;
-      }
-    }
-  }
 }
 
 Column decode_factor_column(ByteReader& r, std::size_t n) {
@@ -287,37 +205,350 @@ Column BlockView::column(std::size_t id) const {
 
 // --- whole-block encode / decode --------------------------------------------
 
-std::string encode_block(const RawRecord* records, std::size_t n,
-                         std::size_t n_factors, std::size_t n_metrics) {
-  const std::size_t columns = 4 + n_factors + n_metrics;
-  std::vector<std::string> payloads(columns);
+// --- BlockEncoder ------------------------------------------------------------
 
-  encode_delta_column(payloads[0], records, n, &RawRecord::sequence);
-  encode_delta_column(payloads[1], records, n, &RawRecord::cell_index);
-  encode_delta_column(payloads[2], records, n, &RawRecord::replicate);
+namespace {
+
+/// Worst-case payload bytes per record: a delta varint, a raw double,
+/// a mixed-kind value (tag + varint).
+constexpr std::size_t kVarintBytes = 10;
+constexpr std::size_t kDoubleBytes = 8;
+constexpr std::size_t kMixedBytes = 1 + kVarintBytes;
+
+inline std::size_t varint_size(std::uint64_t v) {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
+/// Zigzag-varint delta of v from prev, wrapping like the decoder's
+/// running sum.
+inline char* store_delta(char* p, std::uint64_t v, std::uint64_t prev) {
+  return store_svarint(p, static_cast<std::int64_t>(v - prev));
+}
+
+/// Running [min, max] of a numeric column, folded as std::min/std::max
+/// from the first value on, and whether every value was finite.
+struct NumericZone {
+  double min = 0.0;
+  double max = 0.0;
+  bool finite = true;
+
+  void seed(double d) { min = max = d; }
+  void fold(double d) {
+    min = d < min ? d : min;
+    max = max < d ? d : max;
+    finite &= std::isfinite(d);
+  }
+  ColumnStats stats() const {
+    ColumnStats out;
+    if (finite) {
+      out.kind = ColumnStats::Kind::kNumeric;
+      out.min = min;
+      out.max = max;
+    }
+    return out;
+  }
+};
+
+ColumnStats integer_zone(std::uint64_t min, std::uint64_t max) {
+  ColumnStats out;
+  out.kind = ColumnStats::Kind::kNumeric;
+  out.min = static_cast<double>(min);
+  out.max = static_cast<double>(max);
+  return out;
+}
+
+/// A block column's distinct strings in first-appearance order (the
+/// codes the image stores): a linear scan while there are few, a hash
+/// index beyond that.  Holds pointers into the records being encoded.
+class Dictionary {
+ public:
+  std::uint32_t code(const std::string& s) {
+    if (levels_.size() <= kLinearLevels) {
+      for (std::size_t c = 0; c < levels_.size(); ++c) {
+        if (*levels_[c] == s) return static_cast<std::uint32_t>(c);
+      }
+      if (levels_.size() < kLinearLevels) {
+        levels_.push_back(&s);
+        return static_cast<std::uint32_t>(levels_.size() - 1);
+      }
+      for (std::size_t c = 0; c < levels_.size(); ++c) {
+        index_.emplace(*levels_[c], static_cast<std::uint32_t>(c));
+      }
+    }
+    const auto [it, added] = index_.try_emplace(
+        std::string_view(s), static_cast<std::uint32_t>(levels_.size()));
+    if (added) levels_.push_back(&s);
+    return it->second;
+  }
+
+  const std::vector<const std::string*>& levels() const noexcept {
+    return levels_;
+  }
+
+  void clear() {
+    levels_.clear();
+    index_.clear();
+  }
+
+  /// Bytes of the serialized dictionary (count, then length + bytes).
+  std::size_t bytes() const {
+    std::size_t total = varint_size(levels_.size());
+    for (const std::string* s : levels_) {
+      total += varint_size(s->size()) + s->size();
+    }
+    return total;
+  }
+
+  char* store(char* p) const {
+    p = store_varint(p, levels_.size());
+    for (const std::string* s : levels_) {
+      p = store_varint(p, s->size());
+      std::memcpy(p, s->data(), s->size());
+      p += s->size();
+    }
+    return p;
+  }
+
+ private:
+  static constexpr std::size_t kLinearLevels = 16;
+  std::vector<const std::string*> levels_;
+  std::unordered_map<std::string_view, std::uint32_t> index_;
+};
+
+}  // namespace
+
+/// One factor column of the block being encoded.  The encoding follows
+/// record 0's kind -- delta varints for ints, raw doubles for reals,
+/// dictionary codes for strings -- and the first record of another kind
+/// re-encodes the column so far as mixed (rare: a factor's kind is
+/// almost always fixed by its plan), which is the choice the whole
+/// block's kinds decide.
+struct BlockEncoder::Factor {
+  unsigned char encoding = kColMixed;
+  bool any_string = false;
+  std::uint64_t prev = 0;  ///< kColInt: the previous value, as bits
+  Dictionary dict;
+  NumericZone zone;
+
+  void reset(const Value& first) {
+    encoding = static_cast<unsigned char>(first.kind());
+    any_string = false;
+    prev = 0;
+    dict.clear();
+    zone = NumericZone{};
+    if (!first.is_string()) zone.seed(first.as_real());
+  }
+
+  char* store(char* p, const Value& v, ValueKind kind) {
+    switch (kind) {
+      case ValueKind::kInt: {
+        const std::int64_t x = v.as_int();
+        zone.fold(static_cast<double>(x));
+        if (encoding == kColInt) {
+          p = store_delta(p, static_cast<std::uint64_t>(x), prev);
+          prev = static_cast<std::uint64_t>(x);
+          return p;
+        }
+        *p++ = 0;
+        return store_svarint(p, x);
+      }
+      case ValueKind::kReal: {
+        const double x = v.as_real();
+        zone.fold(x);
+        if (encoding != kColReal) *p++ = 1;
+        return store_f64le(p, x);
+      }
+      case ValueKind::kString: {
+        any_string = true;
+        const std::uint32_t code = dict.code(v.as_string());
+        if (encoding != kColString) *p++ = 2;
+        return store_varint(p, code);
+      }
+    }
+    return p;
+  }
+
+  /// Rewrites records[0, i) of column f as mixed from `begin` on; folding
+  /// them into the zone and dictionary again changes neither.
+  char* restart_mixed(char* begin, const RawRecord* records, std::size_t i,
+                      std::size_t f) {
+    encoding = kColMixed;
+    char* p = begin;
+    for (std::size_t j = 0; j < i; ++j) {
+      const Value& v = records[j].factors[f];
+      p = store(p, v, v.kind());
+    }
+    return p;
+  }
+
+  ColumnStats stats() const {
+    if (encoding == kColString) {
+      const auto& levels = dict.levels();
+      if (levels.size() > kZoneMaxLevels) return ColumnStats{};
+      ColumnStats out;
+      out.kind = ColumnStats::Kind::kStrings;
+      out.levels.reserve(levels.size());
+      for (const std::string* level : levels) out.levels.push_back(*level);
+      std::sort(out.levels.begin(), out.levels.end());
+      return out;
+    }
+    return any_string ? ColumnStats{} : zone.stats();
+  }
+};
+
+BlockEncoder::BlockEncoder() = default;
+BlockEncoder::~BlockEncoder() = default;
+
+BlockStats BlockEncoder::encode(const RawRecord* records, std::size_t n,
+                                std::size_t n_factors,
+                                std::size_t n_metrics) {
+  const std::size_t columns = block_columns(n_factors, n_metrics);
+  BlockStats zones;
+  zones.columns.resize(columns);
+
+  // Column payloads in id order, each in a region of its worst case.
+  const auto is_factor = [&](std::size_t c) {
+    return c >= kFirstFactorColumn && c < kFirstFactorColumn + n_factors;
+  };
+  const auto worst_case = [&](std::size_t c) {
+    return c < kTimestampColumn ? kVarintBytes
+           : is_factor(c)       ? kMixedBytes
+                                : kDoubleBytes;
+  };
+  std::size_t per_record = 0;
+  for (std::size_t c = 0; c < columns; ++c) per_record += worst_case(c);
+  if (scratch_.size() < n * per_record) scratch_.resize(n * per_record);
+  std::vector<char*> begin(columns);
+  char* region = scratch_.data();
+  for (std::size_t c = 0; c < columns; ++c) {
+    begin[c] = region;
+    region += n * worst_case(c);
+  }
+  std::vector<char*> at = begin;  // bump pointers; the end once encoded
+  char** const factor_at = at.data() + kFirstFactorColumn;
+  char** const metric_at = factor_at + n_factors;
+  char* sequence_at = begin[kSequenceColumn];
+  char* cell_at = begin[kCellColumn];
+  char* replicate_at = begin[kReplicateColumn];
+  char* timestamp_at = begin[kTimestampColumn];
+
+  factors_.resize(n_factors);
+  std::vector<NumericZone> metric_zones(n_metrics);
+  std::uint64_t prev_sequence = 0, prev_cell = 0, prev_replicate = 0;
+  std::uint64_t min_sequence = 0, max_sequence = 0, min_cell = 0,
+                max_cell = 0, min_replicate = 0, max_replicate = 0;
+  NumericZone timestamp_zone;
+  if (n > 0) {
+    const RawRecord& first = records[0];
+    min_sequence = max_sequence = first.sequence;
+    min_cell = max_cell = first.cell_index;
+    min_replicate = max_replicate = first.replicate;
+    timestamp_zone.seed(first.timestamp_s);
+    for (std::size_t f = 0; f < n_factors; ++f) {
+      factors_[f].reset(first.factors[f]);
+    }
+    for (std::size_t m = 0; m < n_metrics; ++m) {
+      metric_zones[m].seed(first.metrics[m]);
+    }
+  } else {
+    for (Factor& factor : factors_) factor = Factor{};  // mixed, no levels
+  }
+
   for (std::size_t i = 0; i < n; ++i) {
-    put_f64le(payloads[3], records[i].timestamp_s);
-  }
-  for (std::size_t f = 0; f < n_factors; ++f) {
-    encode_factor_column(payloads[4 + f], records, n, f);
-  }
-  for (std::size_t m = 0; m < n_metrics; ++m) {
-    std::string& col = payloads[4 + n_factors + m];
-    for (std::size_t i = 0; i < n; ++i) {
-      put_f64le(col, records[i].metrics[m]);
+    const RawRecord& r = records[i];
+    sequence_at = store_delta(sequence_at, r.sequence, prev_sequence);
+    cell_at = store_delta(cell_at, r.cell_index, prev_cell);
+    replicate_at = store_delta(replicate_at, r.replicate, prev_replicate);
+    prev_sequence = r.sequence;
+    prev_cell = r.cell_index;
+    prev_replicate = r.replicate;
+    min_sequence = std::min<std::uint64_t>(min_sequence, r.sequence);
+    max_sequence = std::max<std::uint64_t>(max_sequence, r.sequence);
+    min_cell = std::min<std::uint64_t>(min_cell, r.cell_index);
+    max_cell = std::max<std::uint64_t>(max_cell, r.cell_index);
+    min_replicate = std::min<std::uint64_t>(min_replicate, r.replicate);
+    max_replicate = std::max<std::uint64_t>(max_replicate, r.replicate);
+    timestamp_at = store_f64le(timestamp_at, r.timestamp_s);
+    timestamp_zone.fold(r.timestamp_s);
+
+    const Value* values = r.factors.data();
+    for (std::size_t f = 0; f < n_factors; ++f) {
+      Factor& factor = factors_[f];
+      const ValueKind kind = values[f].kind();
+      if (static_cast<unsigned char>(kind) != factor.encoding &&
+          factor.encoding != kColMixed) [[unlikely]] {
+        factor_at[f] = factor.restart_mixed(begin[kFirstFactorColumn + f],
+                                            records, i, f);
+      }
+      factor_at[f] = factor.store(factor_at[f], values[f], kind);
+    }
+    const double* metrics = r.metrics.data();
+    for (std::size_t m = 0; m < n_metrics; ++m) {
+      metric_at[m] = store_f64le(metric_at[m], metrics[m]);
+      metric_zones[m].fold(metrics[m]);
     }
   }
 
-  std::string out;
-  std::size_t payload_bytes = 0;
-  for (const std::string& p : payloads) payload_bytes += p.size();
-  out.reserve(payload_bytes + 4 * columns + 16);
-  put_varint(out, n);
-  put_varint(out, n_factors);
-  put_varint(out, n_metrics);
-  for (const std::string& p : payloads) put_varint(out, p.size());
-  for (const std::string& p : payloads) out.append(p);
-  return out;
+  // Zone maps; an empty block prunes nothing.
+  if (n > 0) {
+    zones.columns[kSequenceColumn] = integer_zone(min_sequence, max_sequence);
+    zones.columns[kCellColumn] = integer_zone(min_cell, max_cell);
+    zones.columns[kReplicateColumn] =
+        integer_zone(min_replicate, max_replicate);
+    zones.columns[kTimestampColumn] = timestamp_zone.stats();
+    for (std::size_t f = 0; f < n_factors; ++f) {
+      zones.columns[kFirstFactorColumn + f] = factors_[f].stats();
+    }
+    for (std::size_t m = 0; m < n_metrics; ++m) {
+      zones.columns[kFirstFactorColumn + n_factors + m] =
+          metric_zones[m].stats();
+    }
+  }
+
+  // Image: counts, the column size table, then the payloads; a factor
+  // payload is its encoding tag, the dictionary (string and mixed
+  // encodings), then the per-record body.
+  at[kSequenceColumn] = sequence_at;
+  at[kCellColumn] = cell_at;
+  at[kReplicateColumn] = replicate_at;
+  at[kTimestampColumn] = timestamp_at;
+  const auto has_dictionary = [&](std::size_t c) {
+    if (!is_factor(c)) return false;
+    const unsigned char encoding = factors_[c - kFirstFactorColumn].encoding;
+    return encoding == kColString || encoding == kColMixed;
+  };
+  std::vector<std::size_t> column_bytes(columns);
+  std::size_t image_bytes = (3 + columns) * kVarintBytes;
+  for (std::size_t c = 0; c < columns; ++c) {
+    column_bytes[c] = static_cast<std::size_t>(at[c] - begin[c]);
+    if (is_factor(c)) {
+      column_bytes[c] += 1;
+      if (has_dictionary(c)) {
+        column_bytes[c] += factors_[c - kFirstFactorColumn].dict.bytes();
+      }
+    }
+    image_bytes += column_bytes[c];
+  }
+  image_.resize(image_bytes);
+  char* p = image_.data();
+  p = store_varint(p, n);
+  p = store_varint(p, n_factors);
+  p = store_varint(p, n_metrics);
+  for (const std::size_t bytes : column_bytes) p = store_varint(p, bytes);
+  for (std::size_t c = 0; c < columns; ++c) {
+    if (is_factor(c)) {
+      const Factor& factor = factors_[c - kFirstFactorColumn];
+      *p++ = static_cast<char>(factor.encoding);
+      if (has_dictionary(c)) p = factor.dict.store(p);
+    }
+    const auto body = static_cast<std::size_t>(at[c] - begin[c]);
+    if (body != 0) std::memcpy(p, begin[c], body);
+    p += body;
+  }
+  image_.resize(static_cast<std::size_t>(p - image_.data()));
+  return zones;
 }
 
 std::vector<RawRecord> decode_block(const std::string& raw,

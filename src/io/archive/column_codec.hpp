@@ -22,7 +22,8 @@
 //
 // The block image starts with varint record/factor/metric counts and a
 // per-column byte-size table, so a reader can decode one projected
-// column without touching the others.
+// column without touching the others.  BlockEncoder writes the image
+// and the block's zone map in one pass over the records.
 //
 // Decoding yields typed Columns, one per column id (0 sequence, 1 cell,
 // 2 replicate, 3 timestamp, 4+f factor f, 4+n_factors+m metric m --
@@ -44,6 +45,7 @@
 
 #include "core/record.hpp"
 #include "core/value.hpp"
+#include "io/archive/manifest.hpp"
 #include "io/archive/wire.hpp"
 
 namespace cal::io::archive {
@@ -104,10 +106,40 @@ class BlockView {
   std::vector<std::size_t> column_bytes_;
 };
 
-/// Encodes records[0, n) into a block image.  Record widths must agree
-/// with `n_factors`/`n_metrics` (the writer validated them on consume).
-std::string encode_block(const RawRecord* records, std::size_t n,
-                         std::size_t n_factors, std::size_t n_metrics);
+/// Encodes blocks of records into block images and their zone maps, one
+/// pass per block: each record is read once, every column payload is
+/// written through a bump pointer into scratch sized for its worst case
+/// (10 B per varint, 8 B per double, 11 B per mixed-kind value), and each
+/// column's zone folds in during the same pass.  Scratch is kept across
+/// blocks; one encoder per writer, not thread-safe.
+///
+/// Zone maps (what BbxWriter stores in Manifest::zones), one per column
+/// id: numeric columns and all-numeric factor columns get [min, max] of
+/// their values widened to double, or kNone when any value is not
+/// finite; all-string factor columns get their block dictionary, sorted,
+/// or kNone past kZoneMaxLevels levels; mixed string/number columns and
+/// every column of an empty block get kNone.
+class BlockEncoder {
+ public:
+  BlockEncoder();
+  ~BlockEncoder();
+
+  /// Encodes records[0, n) into image() and returns their zone map.
+  /// Record widths must agree with `n_factors`/`n_metrics` (the writer
+  /// validated them on consume).
+  BlockStats encode(const RawRecord* records, std::size_t n,
+                    std::size_t n_factors, std::size_t n_metrics);
+
+  /// The last encoded block image (valid until the next encode()).
+  const std::string& image() const noexcept { return image_; }
+
+ private:
+  struct Factor;  ///< per-factor-column encode state
+
+  std::vector<char> scratch_;  ///< column payloads, worst-case sized
+  std::vector<Factor> factors_;
+  std::string image_;
+};
 
 /// Decodes a full block image back into records.
 std::vector<RawRecord> decode_block(const std::string& raw,

@@ -1,11 +1,12 @@
 #pragma once
 // Byte-level primitives of the bbx archive format.
 //
-// Everything in a bbx shard is little-endian and append-encoded into a
-// std::string acting as a byte buffer: fixed-width u32/u64/f64 fields,
-// LEB128 varints for counts and dictionary indices, and zigzag varints
-// for delta-encoded integer columns (deltas of a randomized plan's cell
-// indices go negative about half the time).  ByteReader is the matching
+// Everything in a bbx shard is little-endian: fixed-width u32/u64/f64
+// fields, LEB128 varints for counts and dictionary indices, and zigzag
+// varints for delta-encoded integer columns (deltas of a randomized
+// plan's cell indices go negative about half the time).  Each field has
+// a store_* form that writes through a pointer into a pre-sized buffer
+// and a put_* form that appends to a std::string.  ByteReader is the matching
 // bounds-checked cursor: every read that would run past the end throws,
 // so a truncated or corrupt block surfaces as a clear error instead of
 // undefined behavior.
@@ -17,35 +18,35 @@
 
 namespace cal::io::archive {
 
-inline void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+// Stores: write one field at `p` and return the byte past it.  The
+// caller guarantees room (a varint takes at most 10 bytes); encoders
+// that know their worst case up front write through these into a
+// pre-sized buffer instead of growing a string byte by byte.
+
+inline char* store_u32le(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 4;
 }
 
-inline void put_u32le(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+inline char* store_u64le(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 8;
 }
 
-inline void put_u64le(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void put_f64le(std::string& out, double v) {
+inline char* store_f64le(char* p, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
-  put_u64le(out, bits);
+  return store_u64le(p, bits);
 }
 
 /// LEB128 unsigned varint (7 bits per byte, high bit = continuation).
-inline void put_varint(std::string& out, std::uint64_t v) {
+inline char* store_varint(char* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 /// Zigzag mapping so small-magnitude signed deltas stay short varints.
@@ -57,6 +58,36 @@ inline std::uint64_t zigzag(std::int64_t v) {
 inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^
          -static_cast<std::int64_t>(v & 1);
+}
+
+inline char* store_svarint(char* p, std::int64_t v) {
+  return store_varint(p, zigzag(v));
+}
+
+// Appends: the same fields grown onto a string buffer.
+
+inline void put_u8(std::string& out, std::uint8_t v) {
+  out.push_back(static_cast<char>(v));
+}
+
+inline void put_u32le(std::string& out, std::uint32_t v) {
+  char buf[4];
+  out.append(buf, store_u32le(buf, v));
+}
+
+inline void put_u64le(std::string& out, std::uint64_t v) {
+  char buf[8];
+  out.append(buf, store_u64le(buf, v));
+}
+
+inline void put_f64le(std::string& out, double v) {
+  char buf[8];
+  out.append(buf, store_f64le(buf, v));
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  char buf[10];
+  out.append(buf, store_varint(buf, v));
 }
 
 inline void put_svarint(std::string& out, std::int64_t v) {

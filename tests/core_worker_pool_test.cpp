@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -131,6 +133,58 @@ TEST(WorkerPool, RunIndexedCoversEveryIndexExactlyOnce) {
     ASSERT_EQ(seen.size(), count);
     for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(seen.count(i), 1u);
   }
+}
+
+TEST(WorkerPool, RunChunksHandsOutDisjointShrinkingClaims) {
+  core::WorkerPool pool(3, "t");
+  std::mutex mu;
+  // Each claim arrives whole: the chunks of a window tile [0, count)
+  // without overlap, and the first claim is the guided-self-scheduling
+  // share max(1, count / (2 * width)).
+  for (const std::size_t count : {1u, 2u, 5u, 17u, 64u, 1000u}) {
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    pool.run_chunks(count, [&](std::size_t worker, std::size_t first,
+                               std::size_t last) {
+      EXPECT_LT(worker, 3u);
+      EXPECT_LT(first, last);
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(first, last);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    ASSERT_FALSE(chunks.empty());
+    EXPECT_EQ(chunks.front().first, 0u);
+    EXPECT_EQ(chunks.front().second, std::max<std::size_t>(count / 6, 1));
+    for (std::size_t c = 1; c < chunks.size(); ++c) {
+      EXPECT_EQ(chunks[c].first, chunks[c - 1].second);
+    }
+    EXPECT_EQ(chunks.back().second, count);
+  }
+}
+
+TEST(WorkerPool, RunChunksPropagatesLowestChunkFailure) {
+  core::WorkerPool pool(4, "t");
+  // 64 indices on 4 workers: the claims are [0, 8), [8, 15), ...; the
+  // chunks holding 3 and 40 fail, and the one holding 3 must win.
+  auto body = [](std::size_t, std::size_t first, std::size_t last) {
+    for (std::size_t k = first; k < last; ++k) {
+      if (k == 40 || k == 3) {
+        throw std::runtime_error("task " + std::to_string(k));
+      }
+    }
+  };
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    try {
+      pool.run_chunks(64, body);
+      FAIL() << "run_chunks() should have rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3");
+    }
+  }
+  std::atomic<std::size_t> count{0};
+  pool.run_chunks(16, [&](std::size_t, std::size_t first, std::size_t last) {
+    count += last - first;
+  });
+  EXPECT_EQ(count.load(), 16u);
 }
 
 TEST(WorkerPool, RunIndexedPropagatesLowestIndexFailure) {

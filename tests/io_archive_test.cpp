@@ -108,10 +108,13 @@ TEST(ArchiveWire, VarintAcceptsCanonicalBoundaryEncodings) {
 }
 
 TEST(ArchiveWriter, ZeroRecordBlockStatsDegradeToEmptyZones) {
-  // Regression: numeric_stats/factor_stats used to seed min/max from
-  // values.front() before checking for emptiness.  Zero records must
-  // yield all-kNone zones (prune nothing), not undefined behavior.
-  const ar::BlockStats stats = ar::compute_block_stats({}, 2, 3);
+  // Regression: the zone folds used to seed min/max from the first
+  // record before checking for emptiness.  Zero records must yield
+  // all-kNone zones (prune nothing), not undefined behavior, and an
+  // image that decodes to no records.
+  ar::BlockEncoder encoder;
+  const ar::BlockStats stats = encoder.encode(nullptr, 0, 2, 3);
+  EXPECT_TRUE(ar::decode_block(encoder.image(), 2, 3).empty());
   ASSERT_EQ(stats.columns.size(), 4u + 2u + 3u);
   for (const ar::ColumnStats& column : stats.columns) {
     EXPECT_EQ(column.kind, ar::ColumnStats::Kind::kNone);
@@ -137,10 +140,16 @@ TEST(ArchiveCrc32, RollingEqualsOneShot) {
 
 // --- block codec ------------------------------------------------------------
 
+std::string compress(const std::string& raw) {
+  std::string packed;
+  ar::BlockCompressor().compress(raw.data(), raw.size(), 0, packed);
+  return packed;
+}
+
 TEST(ArchiveBlockCodec, CompressibleRoundTrip) {
   std::string raw;
   for (int i = 0; i < 500; ++i) raw += "abcabcabc-" + std::to_string(i % 7);
-  const std::string packed = ar::block_compress(raw);
+  const std::string packed = compress(raw);
   EXPECT_LT(packed.size(), raw.size() / 2);
   EXPECT_EQ(ar::block_decompress(packed.data(), packed.size(), raw.size()),
             raw);
@@ -152,7 +161,7 @@ TEST(ArchiveBlockCodec, IncompressibleFallsBackToStored) {
   for (int i = 0; i < 4096; ++i) {
     raw.push_back(static_cast<char>(rng() & 0xff));
   }
-  const std::string packed = ar::block_compress(raw);
+  const std::string packed = compress(raw);
   EXPECT_LE(packed.size(), raw.size() + 1);  // bounded expansion
   EXPECT_EQ(ar::block_decompress(packed.data(), packed.size(), raw.size()),
             raw);
@@ -161,7 +170,7 @@ TEST(ArchiveBlockCodec, IncompressibleFallsBackToStored) {
 TEST(ArchiveBlockCodec, EmptyAndTinyInputs) {
   for (const std::string raw : {std::string{}, std::string{"a"},
                                 std::string{"abc"}}) {
-    const std::string packed = ar::block_compress(raw);
+    const std::string packed = compress(raw);
     EXPECT_EQ(ar::block_decompress(packed.data(), packed.size(), raw.size()),
               raw);
   }
@@ -170,7 +179,7 @@ TEST(ArchiveBlockCodec, EmptyAndTinyInputs) {
 TEST(ArchiveBlockCodec, CorruptPayloadThrows) {
   std::string raw;
   for (int i = 0; i < 300; ++i) raw += "patternpattern";
-  std::string packed = ar::block_compress(raw);
+  std::string packed = compress(raw);
   EXPECT_THROW(
       ar::block_decompress(packed.data(), packed.size(), raw.size() + 1),
       std::runtime_error);
@@ -206,8 +215,10 @@ std::vector<RawRecord> sample_records() {
 
 TEST(ArchiveColumnCodec, BlockRoundTripPreservesKindsExactly) {
   const std::vector<RawRecord> records = sample_records();
-  const std::string raw = ar::encode_block(records.data(), records.size(),
-                                           /*n_factors=*/4, /*n_metrics=*/2);
+  ar::BlockEncoder encoder;
+  encoder.encode(records.data(), records.size(), /*n_factors=*/4,
+                 /*n_metrics=*/2);
+  const std::string& raw = encoder.image();
   const std::vector<RawRecord> back = ar::decode_block(raw, 4, 2);
   ASSERT_EQ(back.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -226,8 +237,9 @@ TEST(ArchiveColumnCodec, BlockRoundTripPreservesKindsExactly) {
 
 TEST(ArchiveColumnCodec, ProjectionMatchesFullDecode) {
   const std::vector<RawRecord> records = sample_records();
-  const std::string raw =
-      ar::encode_block(records.data(), records.size(), 4, 2);
+  ar::BlockEncoder encoder;
+  encoder.encode(records.data(), records.size(), 4, 2);
+  const std::string& raw = encoder.image();
   const ar::BlockView view(raw, 4, 2);
   using Kind = ar::Column::Kind;
   // Each column decodes to its typed payload: index columns and the
