@@ -22,6 +22,18 @@ enum : unsigned char {
   kColMixed = 3,   // per-value kind tag; strings share the dictionary
 };
 
+/// The single-kind column encoding (and the mixed encoding's per-value
+/// tag) for a value kind; spelled out so the on-disk tags do not follow
+/// ValueKind's declaration order.
+constexpr unsigned char encoding_of(ValueKind kind) {
+  switch (kind) {
+    case ValueKind::kInt: return kColInt;
+    case ValueKind::kReal: return kColReal;
+    case ValueKind::kString: return kColString;
+  }
+  return kColMixed;
+}
+
 /// Streams a delta-varint payload through the dispatched kernel into
 /// the running prefix values (two's-complement bit patterns).
 void decode_delta_payload(ByteReader& r, std::size_t n, std::uint64_t* out) {
@@ -260,23 +272,11 @@ ColumnStats integer_zone(std::uint64_t min, std::uint64_t max) {
 }
 
 /// A block column's distinct strings in first-appearance order (the
-/// codes the image stores): a linear scan while there are few, a hash
-/// index beyond that.  Holds pointers into the records being encoded.
+/// codes the image stores), one hash lookup per record.  Holds pointers
+/// into the records being encoded.
 class Dictionary {
  public:
   std::uint32_t code(const std::string& s) {
-    if (levels_.size() <= kLinearLevels) {
-      for (std::size_t c = 0; c < levels_.size(); ++c) {
-        if (*levels_[c] == s) return static_cast<std::uint32_t>(c);
-      }
-      if (levels_.size() < kLinearLevels) {
-        levels_.push_back(&s);
-        return static_cast<std::uint32_t>(levels_.size() - 1);
-      }
-      for (std::size_t c = 0; c < levels_.size(); ++c) {
-        index_.emplace(*levels_[c], static_cast<std::uint32_t>(c));
-      }
-    }
     const auto [it, added] = index_.try_emplace(
         std::string_view(s), static_cast<std::uint32_t>(levels_.size()));
     if (added) levels_.push_back(&s);
@@ -312,7 +312,6 @@ class Dictionary {
   }
 
  private:
-  static constexpr std::size_t kLinearLevels = 16;
   std::vector<const std::string*> levels_;
   std::unordered_map<std::string_view, std::uint32_t> index_;
 };
@@ -333,7 +332,7 @@ struct BlockEncoder::Factor {
   NumericZone zone;
 
   void reset(const Value& first) {
-    encoding = static_cast<unsigned char>(first.kind());
+    encoding = encoding_of(first.kind());
     any_string = false;
     prev = 0;
     dict.clear();
@@ -351,19 +350,19 @@ struct BlockEncoder::Factor {
           prev = static_cast<std::uint64_t>(x);
           return p;
         }
-        *p++ = 0;
+        *p++ = static_cast<char>(kColInt);
         return store_svarint(p, x);
       }
       case ValueKind::kReal: {
         const double x = v.as_real();
         zone.fold(x);
-        if (encoding != kColReal) *p++ = 1;
+        if (encoding != kColReal) *p++ = static_cast<char>(kColReal);
         return store_f64le(p, x);
       }
       case ValueKind::kString: {
         any_string = true;
         const std::uint32_t code = dict.code(v.as_string());
-        if (encoding != kColString) *p++ = 2;
+        if (encoding != kColString) *p++ = static_cast<char>(kColString);
         return store_varint(p, code);
       }
     }
@@ -477,7 +476,7 @@ BlockStats BlockEncoder::encode(const RawRecord* records, std::size_t n,
     for (std::size_t f = 0; f < n_factors; ++f) {
       Factor& factor = factors_[f];
       const ValueKind kind = values[f].kind();
-      if (static_cast<unsigned char>(kind) != factor.encoding &&
+      if (encoding_of(kind) != factor.encoding &&
           factor.encoding != kColMixed) [[unlikely]] {
         factor_at[f] = factor.restart_mixed(begin[kFirstFactorColumn + f],
                                             records, i, f);
