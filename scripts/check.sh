@@ -46,7 +46,9 @@ BUILD="${BUILD_DIR:-$DEFAULT_BUILD}"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 cmake -B "$BUILD" -S "$ROOT" $CMAKE_ARGS
-cmake --build "$BUILD" -j
+# A bare -j sets no job limit: a from-scratch sanitizer build then runs
+# dozens of compilers at once and can exhaust the machine's memory.
+cmake --build "$BUILD" -j "$JOBS"
 # ctest's bare -j (no value) would swallow the next flag, so pass the
 # job count explicitly.
 cd "$BUILD" && exec ctest --output-on-failure -j "$JOBS" $LABEL_ARGS "$@"

@@ -183,7 +183,8 @@ class Engine {
     /// instances, e.g. one pool for every campaign of a cluster report).
     /// When set it supersedes `threads`: the engine shards over
     /// pool->size() workers (clamped to the plan size, like `threads`)
-    /// and submits windows to it instead of creating its own.  A
+    /// and runs each window on it (WorkerPool::run_chunks) instead of
+    /// creating its own.  A
     /// one-worker pool runs windows inline on the calling thread (which
     /// also serves time-dependent measurements).
     std::shared_ptr<core::WorkerPool> pool;

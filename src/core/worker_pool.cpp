@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
-#include <stdexcept>
 #include <utility>
 
 #if defined(__linux__)
@@ -36,7 +34,6 @@ void set_current_thread_name(const std::string& pool_name, std::size_t w) {
 WorkerPool::WorkerPool(std::size_t threads, std::string name)
     : name_(std::move(name)) {
   const std::size_t count = std::max<std::size_t>(threads, 1);
-  queues_.resize(count);
   threads_.reserve(count);
   try {
     for (std::size_t w = 0; w < count; ++w) {
@@ -73,101 +70,62 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::worker_loop(std::size_t w) {
+  std::uint64_t seen = 0;  // the last window this worker looked at
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || !queues_[w].empty(); });
-    if (queues_[w].empty()) return;  // stop requested and queue drained
-    Submission sub = std::move(queues_[w].front());
-    queues_[w].pop_front();
+    work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+    // run_chunks() waits out every window it posts, so a stop request
+    // never finds one in flight.
+    if (stop_) return;
+    seen = generation_;
+    if (w >= stops_.size()) continue;  // not one of this window's workers
+    const ChunkTask& body = *body_;
+    const std::size_t count = count_;
+    const std::size_t divisor = divisor_;
     lock.unlock();
 
-    std::exception_ptr error;
-    try {
-      sub.task(w);
-    } catch (...) {
-      error = std::current_exception();
+    std::optional<WorkerStop> stop;
+    std::size_t first = next_.load(std::memory_order_relaxed);
+    while (first < count) {
+      const std::size_t last =
+          first + std::max<std::size_t>((count - first) / divisor, 1);
+      // A failed claim reloads `first`; the mutex publishes results.
+      if (!next_.compare_exchange_weak(first, last,
+                                       std::memory_order_relaxed)) {
+        continue;
+      }
+      try {
+        body(w, first, last);
+      } catch (...) {
+        stop = WorkerStop{first, std::current_exception()};
+        break;
+      }
+      first = next_.load(std::memory_order_relaxed);
     }
 
     lock.lock();
-    if (error) failures_.push_back(Failure{sub.seq, error});
-    if (--pending_ == 0) idle_cv_.notify_all();
+    stops_[w] = std::move(stop);
+    if (--busy_ == 0) idle_cv_.notify_one();
   }
-}
-
-void WorkerPool::submit(Task task) {
-  std::size_t worker;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    worker = next_worker_;
-    next_worker_ = (next_worker_ + 1) % size();
-  }
-  submit_to(worker, std::move(task));
-}
-
-void WorkerPool::submit_to(std::size_t worker, Task task) {
-  if (worker >= size()) {
-    throw std::out_of_range("WorkerPool: no such worker");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queues_[worker].push_back(Submission{next_seq_++, std::move(task)});
-    ++pending_;
-  }
-  work_cv_.notify_all();
-}
-
-void WorkerPool::barrier() {
-  std::vector<Failure> failures;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [&] { return pending_ == 0; });
-    failures.swap(failures_);
-    next_worker_ = 0;  // each barrier-delimited batch maps identically
-  }
-  if (failures.empty()) return;
-  const auto first = std::min_element(
-      failures.begin(), failures.end(),
-      [](const Failure& a, const Failure& b) { return a.seq < b.seq; });
-  std::rethrow_exception(first->error);
 }
 
 void WorkerPool::run_chunks(std::size_t count, const ChunkTask& body,
                             std::size_t width,
                             const std::function<void()>& meanwhile) {
   if (width == 0 || width > size()) width = size();
-  struct WorkerStop {
-    std::size_t first = 0;  ///< the failing chunk's first index
-    std::exception_ptr error;
-  };
-  // One slot per worker: a worker records its first failure here and
-  // stops, so exceptions never reach the pool-level capture and the
-  // lowest chunk (not the earliest submission) decides what the caller
-  // sees.  Chunks are disjoint, so the lowest failing chunk holds the
-  // lowest failing index.
-  std::vector<std::optional<WorkerStop>> stops(width);
-  std::atomic<std::size_t> next{0};  // first index not yet claimed
-  const std::size_t divisor = 2 * width;
   const std::size_t active = std::min(width, count);
-  for (std::size_t w = 0; w < active; ++w) {
-    submit_to(w, [&stops, &next, &body, count, divisor](std::size_t worker) {
-      std::size_t first = next.load(std::memory_order_relaxed);
-      while (first < count) {
-        const std::size_t last =
-            first + std::max<std::size_t>((count - first) / divisor, 1);
-        // A failed claim reloads `first`; the barrier publishes results.
-        if (!next.compare_exchange_weak(first, last,
-                                        std::memory_order_relaxed)) {
-          continue;
-        }
-        try {
-          body(worker, first, last);
-        } catch (...) {
-          stops[worker] = WorkerStop{first, std::current_exception()};
-          return;
-        }
-        first = next.load(std::memory_order_relaxed);
-      }
-    });
+  if (active != 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      body_ = &body;
+      count_ = count;
+      divisor_ = 2 * width;
+      next_.store(0, std::memory_order_relaxed);
+      stops_.assign(active, std::nullopt);
+      busy_ = active;
+      ++generation_;
+    }
+    work_cv_.notify_all();
   }
   std::exception_ptr meanwhile_error;
   if (meanwhile) {
@@ -177,15 +135,26 @@ void WorkerPool::run_chunks(std::size_t count, const ChunkTask& body,
       meanwhile_error = std::current_exception();
     }
   }
-  barrier();
-  if (meanwhile_error) std::rethrow_exception(meanwhile_error);
-  const WorkerStop* lowest = nullptr;
-  for (const auto& stop : stops) {
-    if (stop && (lowest == nullptr || stop->first < lowest->first)) {
-      lowest = &*stop;
+  // A worker records only its first failure, in its own slot, so the
+  // lowest failing chunk decides what the caller sees.  Chunks are
+  // disjoint, so that chunk holds the lowest failing index.
+  std::exception_ptr window_error;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [&] { return busy_ == 0; });
+    const WorkerStop* lowest = nullptr;
+    for (const auto& stop : stops_) {
+      if (stop && (lowest == nullptr || stop->first < lowest->first)) {
+        lowest = &*stop;
+      }
     }
+    if (lowest != nullptr) window_error = lowest->error;
+    // Also tells a worker that wakes only now, for this finished window,
+    // that it has no part in it (and must not touch busy_).
+    stops_.clear();
   }
-  if (lowest != nullptr) std::rethrow_exception(lowest->error);
+  if (meanwhile_error) std::rethrow_exception(meanwhile_error);
+  if (window_error) std::rethrow_exception(window_error);
 }
 
 void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
@@ -197,6 +166,15 @@ void WorkerPool::run_indexed(std::size_t count, const IndexedTask& body,
         for (std::size_t k = first; k < last; ++k) body(worker, k);
       },
       width, meanwhile);
+}
+
+void run_indexed(WorkerPool* pool, std::size_t count,
+                 const WorkerPool::IndexedTask& body) {
+  if (pool != nullptr && pool->size() > 1 && count > 1) {
+    pool->run_indexed(count, body);
+    return;
+  }
+  for (std::size_t k = 0; k < count; ++k) body(0, k);
 }
 
 }  // namespace cal::core

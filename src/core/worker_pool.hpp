@@ -9,13 +9,11 @@
 // windows -- or as many campaigns -- as the owner wants, replacing the
 // per-window spawn/join with a condition-variable wake.
 //
-// What the pool guarantees, and what it leaves to timing:
+// The pool does one thing: run an indexed window.  What it guarantees,
+// and what it leaves to timing:
 //
-//   * submit() assigns tasks round-robin (submission i of a
-//     barrier-delimited batch goes to worker i % size(), and the cursor
-//     resets at every barrier), so the task -> worker mapping never
-//     depends on timing;
-//   * run_chunks() / run_indexed() hand an indexed window out by guided
+//   * run_chunks() / run_indexed() post the window once, under the
+//     pool's mutex, and the workers hand it out by guided
 //     self-scheduling: each worker claims the next
 //     max(1, remaining / (2 * width)) indices with one compare-and-swap,
 //     so the claims shrink as the window drains and a slow index cannot
@@ -24,26 +22,32 @@
 //     chunk rather than per index.  Which worker runs which index
 //     depends on timing; callers whose results must not (the engine)
 //     keep nothing per worker that reaches the output;
-//   * run_indexed() can run a "meanwhile" callable on the calling
-//     thread while the window is in flight -- the engine merges window
-//     k there while the workers measure window k + 1;
-//   * exceptions are captured per worker and rethrown from the caller
-//     after the barrier -- barrier() rethrows the failure of the earliest
-//     *submission*, run_indexed() the failure of the meanwhile callable
-//     if it threw, else that of the lowest failing *index* (plan order).
-//     Either way the pool itself stays healthy and reusable: a failed
-//     window never poisons the next one.
+//   * worker index w is always the same long-lived thread, and no other
+//     thread ever runs a body as worker w -- so per-worker resources
+//     (the engine's simulator replicas) need no locking;
+//   * run_chunks() / run_indexed() can run a "meanwhile" callable on the
+//     calling thread while the window is in flight -- the engine merges
+//     window k there while the workers measure window k + 1;
+//   * a worker stops at its first failure and the others drain the
+//     window; after the window, the caller rethrows the failure of the
+//     meanwhile callable if it threw, else that of the lowest failing
+//     chunk (so the lowest failing index, in plan order).  The window is
+//     always waited for first, and the pool stays healthy and reusable:
+//     a failed window never poisons the next one.
 //
-// The pool is single-producer: submit()/barrier()/run_indexed() must be
-// called from one thread at a time (the engine's merge thread).  Tasks
-// themselves run concurrently on the workers.
+// The pool is single-producer: run_chunks()/run_indexed() must be
+// called from one thread at a time (the engine's merge thread).
+//
+// core::run_indexed(pool, count, body) is the one place that decides
+// between the pool and the calling thread.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,8 +56,6 @@ namespace cal::core {
 
 class WorkerPool {
  public:
-  /// A submitted task; receives the index of the worker executing it.
-  using Task = std::function<void(std::size_t worker)>;
   /// An indexed window body for run_indexed().
   using IndexedTask = std::function<void(std::size_t worker,
                                          std::size_t index)>;
@@ -65,7 +67,7 @@ class WorkerPool {
   /// "<name>/<w>" where the platform supports thread names.
   explicit WorkerPool(std::size_t threads, std::string name = "calipers");
 
-  /// Drains queued tasks, then joins every worker.
+  /// Joins every worker.
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -73,19 +75,6 @@ class WorkerPool {
 
   std::size_t size() const noexcept { return threads_.size(); }
   const std::string& name() const noexcept { return name_; }
-
-  /// Enqueues `task` on the next worker in round-robin submission order
-  /// (submission i since the last barrier goes to worker i % size()).
-  void submit(Task task);
-
-  /// Enqueues `task` on a specific worker.
-  void submit_to(std::size_t worker, Task task);
-
-  /// Blocks until every submitted task has finished.  If any task threw,
-  /// rethrows the exception of the earliest submission (later failures
-  /// are dropped); all captured failures are cleared either way, so the
-  /// pool is immediately reusable.  Also resets the round-robin cursor.
-  void barrier();
 
   /// Executes `count` indexed tasks on the first `width` workers
   /// (width = 0 or > size() means all workers) by guided
@@ -112,12 +101,9 @@ class WorkerPool {
                    const std::function<void()>& meanwhile = {});
 
  private:
-  struct Submission {
-    std::uint64_t seq = 0;
-    Task task;
-  };
-  struct Failure {
-    std::uint64_t seq = 0;
+  /// A worker's first failure: the failing chunk's first index.
+  struct WorkerStop {
+    std::size_t first = 0;
     std::exception_ptr error;
   };
 
@@ -127,14 +113,25 @@ class WorkerPool {
   std::vector<std::thread> threads_;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers wait for tasks / shutdown
-  std::condition_variable idle_cv_;  ///< barrier waits for pending_ == 0
-  std::vector<std::deque<Submission>> queues_;  ///< one per worker
-  std::vector<Failure> failures_;
-  std::size_t pending_ = 0;      ///< submitted, not yet finished
-  std::uint64_t next_seq_ = 0;   ///< submission counter (for failure order)
-  std::size_t next_worker_ = 0;  ///< round-robin cursor for submit()
+  std::condition_variable work_cv_;  ///< workers wait for a window / stop
+  std::condition_variable idle_cv_;  ///< run_chunks waits for busy_ == 0
+  // The window in flight, posted under mu_ and left untouched until
+  // busy_ drops back to 0.
+  const ChunkTask* body_ = nullptr;
+  std::size_t count_ = 0;
+  std::size_t divisor_ = 1;             ///< 2 * width
+  std::atomic<std::size_t> next_{0};    ///< first index not yet claimed
+  std::vector<std::optional<WorkerStop>> stops_;  ///< one per active worker
+  std::size_t busy_ = 0;                ///< active workers not yet done
+  std::uint64_t generation_ = 0;        ///< windows posted so far
   bool stop_ = false;
 };
+
+/// Runs `body(worker, index)` for every index in [0, count): over
+/// `pool` when it has more than one worker and there is more than one
+/// index, otherwise inline on the calling thread as worker 0, in index
+/// order.  Either way the lowest failing index is the one rethrown.
+void run_indexed(WorkerPool* pool, std::size_t count,
+                 const WorkerPool::IndexedTask& body);
 
 }  // namespace cal::core

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +15,16 @@
 #include "io/archive/wire.hpp"
 
 namespace cal::io::archive {
+namespace {
+
+/// 0, 1, ..., blocks - 1: the scan_blocks() list of a whole-bundle read.
+std::vector<std::size_t> every_block(std::size_t blocks) {
+  std::vector<std::size_t> all(blocks);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+}  // namespace
 
 BbxReader::BbxReader(std::string dir)
     : dir_(std::move(dir)), manifest_(Manifest::load(dir_)) {
@@ -39,27 +49,6 @@ bool BbxReader::is_bundle(const std::string& dir) {
                                  std::string(Manifest::file_name()));
 }
 
-std::vector<std::string> BbxReader::load_shards() const {
-  std::vector<std::string> shards;
-  shards.reserve(manifest_.shard_count);
-  for (std::size_t s = 0; s < manifest_.shard_count; ++s) {
-    const std::string path = dir_ + "/" + Manifest::shard_file_name(s);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("bbx: missing shard '" + path + "'");
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string bytes = buf.str();
-    if (bytes.size() < sizeof kShardMagic ||
-        std::memcmp(bytes.data(), kShardMagic, sizeof kShardMagic) != 0) {
-      throw std::runtime_error("bbx: '" + path + "' is not a bbx shard");
-    }
-    shards.push_back(std::move(bytes));
-  }
-  return shards;
-}
-
 std::string BbxReader::decode_frame(const char* frame, std::size_t index) const {
   const BlockInfo& info = manifest_.blocks[index];
   const std::string where = "block " + std::to_string(index) + " of shard '" +
@@ -79,36 +68,6 @@ std::string BbxReader::decode_frame(const char* frame, std::size_t index) const 
                              " (corrupt block payload)");
   }
   return block_decompress(payload, info.stored_bytes, info.raw_bytes);
-}
-
-std::string BbxReader::fetch_block(const std::vector<std::string>& shards,
-                                   std::size_t index) const {
-  const BlockInfo& info = manifest_.blocks[index];
-  const std::string& shard = shards[info.shard];
-  // Overflow-safe bounds check: a tampered manifest can carry offsets
-  // near 2^64, so never compute offset + frame on the left-hand side.
-  if (shard.size() < 12 || info.offset > shard.size() - 12 ||
-      info.stored_bytes > shard.size() - 12 - info.offset) {
-    throw std::runtime_error(
-        "bbx: shard truncated at block " + std::to_string(index) +
-        " of shard '" + Manifest::shard_file_name(info.shard) +
-        "' (file shorter than the manifest's index)");
-  }
-  return decode_frame(shard.data() + info.offset, index);
-}
-
-void BbxReader::for_each_block(
-    core::WorkerPool* pool,
-    const std::function<void(std::size_t)>& body) const {
-  const std::size_t blocks = manifest_.blocks.size();
-  if (pool && pool->size() > 1 && blocks > 1) {
-    pool->run_indexed(blocks,
-                      [&](std::size_t /*worker*/, std::size_t index) {
-                        body(index);
-                      });
-  } else {
-    for (std::size_t i = 0; i < blocks; ++i) body(i);
-  }
 }
 
 void BbxReader::scan_blocks(
@@ -136,10 +95,12 @@ void BbxReader::scan_blocks(
     std::vector<std::size_t>& ordinals = by_shard[s];
     if (ordinals.empty()) continue;
     const std::string path = dir_ + "/" + Manifest::shard_file_name(s);
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
       throw std::runtime_error("bbx: missing shard '" + path + "'");
     }
+    const auto shard_bytes = static_cast<std::uint64_t>(in.tellg());
+    in.seekg(0);
     char magic[sizeof kShardMagic];
     if (!in.read(magic, sizeof magic) ||
         std::memcmp(magic, kShardMagic, sizeof magic) != 0) {
@@ -152,11 +113,20 @@ void BbxReader::scan_blocks(
               });
     for (const std::size_t ordinal : ordinals) {
       const BlockInfo& info = manifest_.blocks[blocks[ordinal]];
+      // The manifest is untrusted: check its offset and size against the
+      // file before sizing the frame, so a tampered index can neither
+      // force an allocation the shard cannot back nor overflow (an offset
+      // near 2^64 never appears on the left-hand side).
       const std::size_t frame_bytes = 12 + std::size_t{info.stored_bytes};
       std::string& frame = frames[ordinal];
-      frame.resize(frame_bytes);
-      in.seekg(static_cast<std::streamoff>(info.offset));
-      if (!in.read(frame.data(), static_cast<std::streamsize>(frame_bytes))) {
+      const bool fits = shard_bytes >= 12 && info.offset <= shard_bytes - 12 &&
+                        info.stored_bytes <= shard_bytes - 12 - info.offset;
+      if (fits) {
+        frame.resize(frame_bytes);
+        in.seekg(static_cast<std::streamoff>(info.offset));
+      }
+      if (!fits ||
+          !in.read(frame.data(), static_cast<std::streamsize>(frame_bytes))) {
         throw std::runtime_error(
             "bbx: shard truncated at block " +
             std::to_string(blocks[ordinal]) + " of shard '" +
@@ -166,33 +136,28 @@ void BbxReader::scan_blocks(
     }
   }
 
-  const auto scan_one = [&](std::size_t ordinal) {
-    body(ordinal, blocks[ordinal],
-         decode_frame(frames[ordinal].data(), blocks[ordinal]));
-  };
-  if (pool && pool->size() > 1 && blocks.size() > 1) {
-    pool->run_indexed(blocks.size(),
-                      [&](std::size_t /*worker*/, std::size_t ordinal) {
-                        scan_one(ordinal);
-                      });
-  } else {
-    for (std::size_t i = 0; i < blocks.size(); ++i) scan_one(i);
-  }
+  core::run_indexed(pool, blocks.size(),
+                    [&](std::size_t /*worker*/, std::size_t ordinal) {
+                      body(ordinal, blocks[ordinal],
+                           decode_frame(frames[ordinal].data(),
+                                        blocks[ordinal]));
+                    });
 }
 
 RawTable BbxReader::read_all(core::WorkerPool* pool) const {
-  const std::vector<std::string> shards = load_shards();
   std::vector<std::vector<RawRecord>> slots(manifest_.blocks.size());
-  for_each_block(pool, [&](std::size_t index) {
-    const std::string raw = fetch_block(shards, index);
-    std::vector<RawRecord> records = decode_block(
-        raw, manifest_.factor_names.size(), manifest_.metric_names.size());
-    if (records.size() != manifest_.blocks[index].records) {
-      throw std::runtime_error("bbx: block " + std::to_string(index) +
-                               " decoded to the wrong record count");
-    }
-    slots[index] = std::move(records);
-  });
+  scan_blocks(every_block(manifest_.blocks.size()), pool,
+              [&](std::size_t, std::size_t index, const std::string& raw) {
+                std::vector<RawRecord> records =
+                    decode_block(raw, manifest_.factor_names.size(),
+                                 manifest_.metric_names.size());
+                if (records.size() != manifest_.blocks[index].records) {
+                  throw std::runtime_error(
+                      "bbx: block " + std::to_string(index) +
+                      " decoded to the wrong record count");
+                }
+                slots[index] = std::move(records);
+              });
 
   RawTable table(manifest_.factor_names, manifest_.metric_names);
   table.reserve(manifest_.total_records);
@@ -204,14 +169,13 @@ RawTable BbxReader::read_all(core::WorkerPool* pool) const {
 
 std::vector<Column> BbxReader::column_blocks(std::size_t id,
                                              core::WorkerPool* pool) const {
-  const std::vector<std::string> shards = load_shards();
   std::vector<Column> slots(manifest_.blocks.size());
-  for_each_block(pool, [&](std::size_t index) {
-    const std::string raw = fetch_block(shards, index);
-    slots[index] = BlockView(raw, manifest_.factor_names.size(),
-                             manifest_.metric_names.size())
-                       .column(id);
-  });
+  scan_blocks(every_block(manifest_.blocks.size()), pool,
+              [&](std::size_t, std::size_t index, const std::string& raw) {
+                slots[index] = BlockView(raw, manifest_.factor_names.size(),
+                                         manifest_.metric_names.size())
+                                   .column(id);
+              });
   return slots;
 }
 

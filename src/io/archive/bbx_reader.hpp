@@ -2,12 +2,15 @@
 // BbxReader: readback side of the bbx bundle format.
 //
 // The reader plans everything from the manifest: which shard holds each
-// block, where, and what checksum it must carry.  Shards are read into
-// memory once (they are compressed, so a shard buffer is a fraction of
-// the table it decodes to) and blocks are verified + decompressed +
-// decoded either sequentially or in parallel on a caller-provided
-// core::WorkerPool -- block decode is embarrassingly parallel, and the
-// pool's run_indexed keeps failure propagation in block (= plan) order.
+// block, where, and what checksum it must carry.  Every read goes through
+// one fetch path, scan_blocks(): it reads the listed blocks' frames from
+// each shard in offset order (after checking the manifest's offset and
+// size against the file, so a tampered index fails as "truncated" rather
+// than forcing a huge allocation), then verifies + decompresses +
+// decodes the blocks sequentially or over a caller-provided
+// core::WorkerPool -- block decode is embarrassingly parallel, and
+// core::run_indexed keeps failure propagation in block (= plan) order.
+// read_all() and the column projections are that scan over every block.
 //
 // Reconstruction is value-identical to the CSV path: Value kinds are
 // stored exactly, doubles are bit-preserved, and records come back in
@@ -36,7 +39,8 @@ class BbxReader {
   std::uint64_t size() const noexcept { return manifest_.total_records; }
 
   /// Decodes the whole bundle back into a RawTable, block-parallel when
-  /// `pool` has more than one worker (pass nullptr for sequential).
+  /// `pool` has more than one worker (pass nullptr for sequential):
+  /// scan_blocks() over every block.
   RawTable read_all(core::WorkerPool* pool = nullptr) const;
 
   /// Projection: one factor column, plan order.
@@ -69,27 +73,14 @@ class BbxReader {
   static bool is_bundle(const std::string& dir);
 
  private:
-  /// Loads every shard file into memory, validating magic bytes.
-  std::vector<std::string> load_shards() const;
-
-  /// Verifies block `index`'s frame + checksum and returns its
-  /// decompressed image.
-  std::string fetch_block(const std::vector<std::string>& shards,
-                          std::size_t index) const;
-
   /// Column `id` of every block, decoded block-parallel over `pool`.
   std::vector<Column> column_blocks(std::size_t id,
                                     core::WorkerPool* pool) const;
 
-  /// Shared frame verification: `frame` points at block `index`'s
+  /// Frame verification: `frame` points at block `index`'s
   /// [stored][raw][crc][payload] bytes (caller guarantees the full
   /// frame is readable); returns the decompressed block image.
   std::string decode_frame(const char* frame, std::size_t index) const;
-
-  /// Runs `body(block_index)` for every block, in parallel when the pool
-  /// allows, rethrowing the lowest-block failure.
-  void for_each_block(core::WorkerPool* pool,
-                      const std::function<void(std::size_t)>& body) const;
 
   std::string dir_;
   Manifest manifest_;

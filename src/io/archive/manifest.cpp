@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -94,6 +95,16 @@ struct JsonValue {
     }
     throw std::runtime_error("bbx manifest: '" + what +
                              "' is not a non-negative integer");
+  }
+  /// as_uint() for a 32-bit field: a larger value is refused, never
+  /// truncated into a different valid one.
+  std::uint32_t as_u32(const std::string& what) const {
+    const std::uint64_t v = as_uint(what);
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::runtime_error("bbx manifest: '" + what + "' value " +
+                               std::to_string(v) + " exceeds 32 bits");
+    }
+    return static_cast<std::uint32_t>(v);
   }
   double as_real(const std::string& what) const {
     if (kind == Kind::kReal) return real_v;
@@ -365,7 +376,7 @@ Manifest Manifest::parse(std::istream& in) {
     throw std::runtime_error("bbx manifest: not a bbx manifest");
   }
   Manifest m;
-  m.version = static_cast<std::uint32_t>(require(obj, "version").as_uint("version"));
+  m.version = require(obj, "version").as_u32("version");
   // Version 1 (PR-4 bundles) lacks zone maps but is otherwise identical;
   // anything newer than this build's writer is refused outright.
   if (m.version < 1 || m.version > kManifestVersion) {
@@ -385,13 +396,13 @@ Manifest Manifest::parse(std::istream& in) {
       throw std::runtime_error("bbx manifest: block row is not 7 numbers");
     }
     BlockInfo b;
-    b.shard = static_cast<std::uint32_t>(cells[0].as_uint("block shard"));
+    b.shard = cells[0].as_u32("block shard");
     b.offset = cells[1].as_uint("block offset");
-    b.stored_bytes = static_cast<std::uint32_t>(cells[2].as_uint("block stored"));
-    b.raw_bytes = static_cast<std::uint32_t>(cells[3].as_uint("block raw"));
-    b.crc32 = static_cast<std::uint32_t>(cells[4].as_uint("block crc"));
+    b.stored_bytes = cells[2].as_u32("block stored");
+    b.raw_bytes = cells[3].as_u32("block raw");
+    b.crc32 = cells[4].as_u32("block crc");
     b.first_sequence = cells[5].as_uint("block first_sequence");
-    b.records = static_cast<std::uint32_t>(cells[6].as_uint("block records"));
+    b.records = cells[6].as_u32("block records");
     m.blocks.push_back(b);
   }
   if (const JsonValue* zones = find(obj, "zones")) {

@@ -54,53 +54,6 @@ void decode_columns(const std::string& raw, const ColumnSet& needs,
   }
 }
 
-void BlockSource::scan_filtered(
-    const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
-    const std::vector<char>& uncertain, const MaskProgram* program,
-    core::WorkerPool* pool,
-    const std::function<void(std::size_t, const DecodedColumns&,
-                             const std::vector<char>*)>& body) const {
-  if (uncertain.size() != blocks.size()) {
-    throw std::invalid_argument(
-        "query: scan_filtered needs one uncertainty flag per block");
-  }
-  std::vector<ColumnSet> needs(blocks.size(), out_needs);
-  for (std::size_t i = 0; i < needs.size(); ++i) {
-    if (program && uncertain[i]) needs[i].merge(program->needs());
-  }
-  scan(blocks, needs, pool,
-       [&](std::size_t ordinal, const DecodedColumns& d) {
-         if (!program || !uncertain[ordinal]) {
-           body(ordinal, d, nullptr);
-           return;
-         }
-         std::vector<char> mask;
-         program->eval(d, mask);
-         body(ordinal, d, &mask);
-       });
-}
-
-void DirectBlockSource::scan(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<ColumnSet>& needs, core::WorkerPool* pool,
-    const std::function<void(std::size_t, const DecodedColumns&)>& body)
-    const {
-  if (needs.size() != blocks.size()) {
-    throw std::invalid_argument(
-        "query: scan needs one ColumnSet per block");
-  }
-  const ar::Manifest& manifest = reader_.manifest();
-  reader_.scan_blocks(
-      blocks, pool,
-      [&](std::size_t ordinal, std::size_t block, const std::string& raw) {
-        DecodedColumns d;
-        decode_columns(raw, needs[ordinal], manifest.blocks[block].records,
-                       manifest.factor_names.size(),
-                       manifest.metric_names.size(), &d);
-        body(ordinal, d);
-      });
-}
-
 void DirectBlockSource::scan_filtered(
     const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
     const std::vector<char>& uncertain, const MaskProgram* program,

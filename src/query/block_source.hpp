@@ -94,35 +94,25 @@ class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  /// Fetches + decodes the requested columns of every listed block
-  /// (manifest block indices, any subset) and calls
-  /// `body(ordinal, columns)` -- `ordinal` is the position within
-  /// `blocks`, `needs[ordinal]` the columns that must be present.
-  /// Parallel over `pool` when provided; `body` may run concurrently and
-  /// must only touch per-ordinal state.  Failures propagate in ordinal
-  /// order, like every block-parallel path.
-  virtual void scan(const std::vector<std::size_t>& blocks,
-                    const std::vector<ColumnSet>& needs,
-                    core::WorkerPool* pool,
-                    const std::function<void(std::size_t ordinal,
-                                             const DecodedColumns& columns)>&
-                        body) const = 0;
-
-  /// Predicate-aware scan: decodes `out_needs` for each block and calls
-  /// `body(ordinal, columns, mask)` where `mask` is the predicate's
-  /// per-record verdict -- nullptr means every record passes (the
-  /// block's zone map was certain, `uncertain[ordinal]` false, or
-  /// `program` null).  A source may skip `body` entirely for blocks
-  /// whose mask comes out all-zero; callers must treat an uncalled
-  /// ordinal as matching nothing.  The default implementation decodes
-  /// the union of output + predicate columns, then evaluates.
+  /// The one scan entry point: fetches + decodes `out_needs` of every
+  /// listed block (manifest block indices, any subset) and calls
+  /// `body(ordinal, columns, mask)` -- `ordinal` is the position within
+  /// `blocks`, and `mask` the predicate's per-record verdict, nullptr
+  /// when every record passes (the block's zone map was certain,
+  /// `uncertain[ordinal]` false, or `program` null).  A source may skip
+  /// `body` entirely for blocks whose mask comes out all-zero; callers
+  /// must treat an uncalled ordinal as matching nothing.  Parallel over
+  /// `pool` when provided; `body` may run concurrently and must only
+  /// touch per-ordinal state.  Failures propagate in ordinal order, like
+  /// every block-parallel path.
   virtual void scan_filtered(
       const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
       const std::vector<char>& uncertain, const MaskProgram* program,
       core::WorkerPool* pool,
       const std::function<void(std::size_t ordinal,
                                const DecodedColumns& columns,
-                               const std::vector<char>* mask)>& body) const;
+                               const std::vector<char>* mask)>& body)
+      const = 0;
 };
 
 /// The no-cache source: every scan decodes from the bundle's shards.
@@ -131,11 +121,6 @@ class DirectBlockSource final : public BlockSource {
   /// Borrows the reader; it must outlive the source.
   explicit DirectBlockSource(const io::archive::BbxReader& reader)
       : reader_(reader) {}
-
-  void scan(const std::vector<std::size_t>& blocks,
-            const std::vector<ColumnSet>& needs, core::WorkerPool* pool,
-            const std::function<void(std::size_t, const DecodedColumns&)>&
-                body) const override;
 
   /// Decodes an uncertain block's predicate columns first, evaluates,
   /// skips decode + body when no record survives, and otherwise decodes

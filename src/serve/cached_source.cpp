@@ -28,14 +28,37 @@ struct BlockWork {
 
 }  // namespace
 
-void CachingBlockSource::scan(
-    const std::vector<std::size_t>& blocks,
-    const std::vector<query::ColumnSet>& needs, core::WorkerPool* pool,
-    const std::function<void(std::size_t, const query::DecodedColumns&)>&
-        body) const {
-  if (needs.size() != blocks.size()) {
-    throw std::invalid_argument("serve: scan needs one ColumnSet per block");
+void CachingBlockSource::scan_filtered(
+    const std::vector<std::size_t>& blocks, const ColumnSet& out_needs,
+    const std::vector<char>& uncertain, const query::MaskProgram* program,
+    core::WorkerPool* pool,
+    const std::function<void(std::size_t, const DecodedColumns&,
+                             const std::vector<char>*)>& body) const {
+  if (uncertain.size() != blocks.size()) {
+    throw std::invalid_argument(
+        "query: scan_filtered needs one uncertainty flag per block");
   }
+  std::vector<ColumnSet> needs(blocks.size(), out_needs);
+  for (std::size_t i = 0; i < needs.size(); ++i) {
+    if (program && uncertain[i]) needs[i].merge(program->needs());
+  }
+  scan_columns(blocks, needs, pool,
+               [&](std::size_t ordinal, const DecodedColumns& d) {
+                 if (!program || !uncertain[ordinal]) {
+                   body(ordinal, d, nullptr);
+                   return;
+                 }
+                 std::vector<char> mask;
+                 program->eval(d, mask);
+                 body(ordinal, d, &mask);
+               });
+}
+
+void CachingBlockSource::scan_columns(
+    const std::vector<std::size_t>& blocks,
+    const std::vector<ColumnSet>& needs, core::WorkerPool* pool,
+    const std::function<void(std::size_t, const DecodedColumns&)>& body)
+    const {
   CAL_SPAN("serve.cached_scan");
   const io::archive::Manifest& manifest = reader_.manifest();
   const std::size_t n_factors = manifest.factor_names.size();
@@ -80,7 +103,7 @@ void CachingBlockSource::scan(
 
   // `resolved[i][k]` flips once work[decoding[i]].owned[k] is published
   // (insert).  Written by the worker decoding that block, read by the
-  // failure path after the pool barrier -- anything still false there is
+  // failure path after the window -- anything still false there is
   // an ownership this scan must abandon so followers wake and retry.
   std::vector<std::vector<char>> resolved(decoding.size());
   for (std::size_t i = 0; i < decoding.size(); ++i) {
@@ -170,16 +193,10 @@ void CachingBlockSource::scan(
 
     // Phase B2: fully-cached blocks -- the warm path.  Parallel because
     // the body (predicate eval + fold) is the remaining cost.
-    if (pool != nullptr && ready.size() > 1) {
-      pool->run_indexed(ready.size(), [&](std::size_t, std::size_t i) {
-        const BlockWork& w = work[ready[i]];
-        body(w.ordinal, w.columns);
-      });
-    } else {
-      for (const std::size_t i : ready) {
-        body(work[i].ordinal, work[i].columns);
-      }
-    }
+    core::run_indexed(pool, ready.size(), [&](std::size_t, std::size_t i) {
+      const BlockWork& w = work[ready[i]];
+      body(w.ordinal, w.columns);
+    });
 
     // Phase C: wait for columns other scans own.  Safe only now: every
     // key this scan owns is resolved, so the scans we wait on can never

@@ -47,11 +47,16 @@ class CachingBlockSource final : public query::BlockSource {
                      std::uint64_t bundle_id)
       : reader_(reader), cache_(cache), bundle_(bundle_id) {}
 
-  void scan(const std::vector<std::size_t>& blocks,
-            const std::vector<query::ColumnSet>& needs,
-            core::WorkerPool* pool,
-            const std::function<void(std::size_t,
-                                     const query::DecodedColumns&)>& body)
+  /// Brings in the output columns plus, for an uncertain block, the
+  /// predicate's, then evaluates the predicate on them before `body`.
+  /// Every block that reaches the scan is decoded and admitted whole,
+  /// even one whose mask comes out all-zero.
+  void scan_filtered(
+      const std::vector<std::size_t>& blocks, const query::ColumnSet& out_needs,
+      const std::vector<char>& uncertain, const query::MaskProgram* program,
+      core::WorkerPool* pool,
+      const std::function<void(std::size_t, const query::DecodedColumns&,
+                               const std::vector<char>*)>& body)
       const override;
 
   const io::archive::BbxReader& reader() const noexcept { return reader_; }
@@ -59,6 +64,14 @@ class CachingBlockSource final : public query::BlockSource {
   std::uint64_t bundle_id() const noexcept { return bundle_; }
 
  private:
+  /// Phases A-C above: `body(ordinal, columns)` once `needs[ordinal]`
+  /// of block `blocks[ordinal]` are all present.
+  void scan_columns(
+      const std::vector<std::size_t>& blocks,
+      const std::vector<query::ColumnSet>& needs, core::WorkerPool* pool,
+      const std::function<void(std::size_t, const query::DecodedColumns&)>&
+          body) const;
+
   const io::archive::BbxReader& reader_;
   BlockCache* cache_;
   std::uint64_t bundle_;

@@ -1,9 +1,9 @@
 // Tests for core::WorkerPool and the engine's failure semantics on top
-// of it: round-robin submit() affinity, guided self-scheduling of
-// indexed windows (every index exactly once, lowest failure wins), the
-// "meanwhile" callable that overlaps a window, first-submission /
-// first-plan-order exception propagation, pool reusability after a
-// failed window, and sink finalization when a campaign dies mid-flight.
+// of it: guided self-scheduling of indexed windows (every index exactly
+// once, lowest failure wins), worker index w as one long-lived thread,
+// the core::run_indexed pool-or-inline helper, the "meanwhile" callable
+// that overlaps a window, pool reusability after a failed window, and
+// sink finalization when a campaign dies mid-flight.
 
 #include "core/worker_pool.hpp"
 
@@ -59,61 +59,75 @@ TEST(WorkerPool, SizeClampedToAtLeastOneWorker) {
   EXPECT_EQ(four.name(), "calipers");
 }
 
-TEST(WorkerPool, RunsEverySubmittedTaskOnItsAssignedWorker) {
-  core::WorkerPool pool(3, "t");
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> ran;  // (submission, worker)
-  for (std::size_t i = 0; i < 12; ++i) {
-    pool.submit([&, i](std::size_t worker) {
-      std::lock_guard<std::mutex> lock(mu);
-      ran.emplace_back(i, worker);
-    });
-  }
-  pool.barrier();
-  ASSERT_EQ(ran.size(), 12u);
-  for (const auto& [submission, worker] : ran) {
-    // Round-robin affinity: submission i runs on worker i % size().
-    EXPECT_EQ(worker, submission % 3);
-  }
-}
-
-TEST(WorkerPool, RoundRobinCursorResetsAtBarrier) {
+TEST(WorkerPool, WorkerIndexIsOneLongLivedThread) {
   core::WorkerPool pool(4, "t");
   std::mutex mu;
-  std::map<std::size_t, std::thread::id> first, second;
-  for (std::size_t i = 0; i < 4; ++i) {
-    pool.submit([&, i](std::size_t) {
-      std::lock_guard<std::mutex> lock(mu);
-      first[i] = std::this_thread::get_id();
-    });
+  std::map<std::size_t, std::thread::id> owner;  // worker -> its thread
+  // Across many windows of many sizes, worker index w is always the same
+  // thread, and within a window no two threads share an index -- the
+  // engine's per-worker simulator replicas rely on both.
+  for (int window = 0; window < 50; ++window) {
+    for (const std::size_t count : {2u, 7u, 64u}) {
+      pool.run_indexed(count, [&](std::size_t worker, std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        const auto it =
+            owner.emplace(worker, std::this_thread::get_id()).first;
+        EXPECT_EQ(it->second, std::this_thread::get_id()) << worker;
+      });
+    }
   }
-  pool.barrier();
-  for (std::size_t i = 0; i < 4; ++i) {
-    pool.submit([&, i](std::size_t) {
-      std::lock_guard<std::mutex> lock(mu);
-      second[i] = std::this_thread::get_id();
-    });
+  std::set<std::thread::id> threads;
+  for (const auto& [worker, thread] : owner) {
+    EXPECT_LT(worker, 4u);
+    EXPECT_NE(thread, std::this_thread::get_id());
+    threads.insert(thread);
   }
-  pool.barrier();
-  // Both batches map submission i to the same long-lived worker thread.
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(first[i], second[i]);
+  EXPECT_EQ(threads.size(), owner.size());
 }
 
-TEST(WorkerPool, BarrierRethrowsEarliestSubmittedFailure) {
-  core::WorkerPool pool(2, "t");
-  for (std::size_t i = 0; i < 6; ++i) {
-    pool.submit([i](std::size_t) {
-      if (i == 4 || i == 2) {
-        throw std::runtime_error("submission " + std::to_string(i));
-      }
+TEST(WorkerPool, RunIndexedHelperRunsInlineWhenThePoolCannotHelp) {
+  core::WorkerPool one(1, "one");
+  core::WorkerPool two(2, "two");
+  const auto caller = std::this_thread::get_id();
+  // Null pool, a one-worker pool, and a single index: all run on the
+  // calling thread, as worker 0, in index order.
+  const std::pair<core::WorkerPool*, std::size_t> inline_cases[] = {
+      {nullptr, 5}, {&one, 5}, {&two, 1}, {&two, 0}};
+  for (const auto& [pool, count] : inline_cases) {
+    std::vector<std::size_t> order;
+    core::run_indexed(pool, count, [&](std::size_t worker, std::size_t k) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      EXPECT_EQ(worker, 0u);
+      order.push_back(k);
     });
+    std::vector<std::size_t> expected(count);
+    for (std::size_t k = 0; k < count; ++k) expected[k] = k;
+    EXPECT_EQ(order, expected);
   }
-  try {
-    pool.barrier();
-    FAIL() << "barrier() should have rethrown";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "submission 2");
+  // The lowest failing index propagates, inline and over the pool.
+  for (core::WorkerPool* pool : {static_cast<core::WorkerPool*>(nullptr),
+                                 &one, &two}) {
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      try {
+        core::run_indexed(pool, 16, [](std::size_t, std::size_t k) {
+          if (k == 11 || k == 4) {
+            throw std::runtime_error("task " + std::to_string(k));
+          }
+        });
+        FAIL() << "run_indexed() should have rethrown";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task 4");
+      }
+    }
   }
+  // More than one index on a multi-worker pool runs on its workers.
+  std::atomic<std::size_t> on_caller{0}, ran{0};
+  core::run_indexed(&two, 8, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+    ++ran;
+  });
+  EXPECT_EQ(ran.load(), 8u);
+  EXPECT_EQ(on_caller.load(), 0u);
 }
 
 TEST(WorkerPool, RunIndexedCoversEveryIndexExactlyOnce) {

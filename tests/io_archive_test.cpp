@@ -2,12 +2,15 @@
 // manifest JSON round-trips, writer/reader round-trips (including
 // projection and format auto-detection through Campaign), atomic
 // staging, and the corruption failure modes -- truncated shard, flipped
-// byte, missing manifest -- each of which must fail with a clear error
-// rather than a wrong table.
+// byte, missing manifest, tampered manifest sizes and integers -- each of
+// which must fail with a clear error (and without a manifest-sized
+// allocation) rather than a wrong table.
 
 #include "io/archive/bbx_reader.hpp"
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -27,11 +30,19 @@
 #include "io/archive/crc32.hpp"
 #include "io/archive/manifest.hpp"
 #include "io/archive/wire.hpp"
+#include "query/engine.hpp"
 
 namespace cal {
 namespace {
 
 namespace ar = io::archive;
+
+/// The process's peak resident set so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
 
 // --- wire -------------------------------------------------------------------
 
@@ -547,6 +558,62 @@ TEST_F(ArchiveBundle, TamperedManifestHugeOffsetFailsNotCrashes) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
         << e.what();
   }
+}
+
+TEST_F(ArchiveBundle, TamperedManifestHugeStoredSizeFailsWithoutAllocating) {
+  write_bundle(1, 16);
+  // A frame size near 4 GiB must be refused against the shard's real
+  // size before any buffer is sized from it -- on the whole-bundle read
+  // and on a query scan alike.
+  ar::Manifest m = ar::Manifest::load(dir_.string());
+  m.blocks.front().stored_bytes = 0xFFFFFF00u;
+  {
+    std::ofstream out(dir_ / "manifest.bbx.json");
+    m.write(out);
+  }
+  const ar::BbxReader reader(dir_.string());
+  const query::BundleQuery bundle(reader);
+  query::QuerySpec spec;
+  spec.aggregates = {query::Aggregate{query::AggKind::kCount, ""}};
+  const long rss_before = peak_rss_kib();
+  const auto expect_truncated = [](const auto& read) {
+    try {
+      read();
+      FAIL() << "oversized manifest frame must not decode";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_truncated([&] { reader.read_all(); });
+  expect_truncated([&] { bundle.aggregate(spec); });
+  EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024);
+}
+
+TEST_F(ArchiveBundle, TamperedManifestWideIntegersAreRejected) {
+  write_bundle(1, 16);
+  std::ostringstream text;
+  ar::Manifest::load(dir_.string()).write(text);
+  // 2^32 + 2 and 2^32 would narrow to a valid version 2 and shard 0.
+  const auto rejects = [&](const std::string& from, const std::string& to,
+                           const std::string& field) {
+    std::string tampered = text.str();
+    const auto at = tampered.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    tampered.replace(at, from.size(), to);
+    std::istringstream in(tampered);
+    try {
+      ar::Manifest::parse(in);
+      FAIL() << field << " above 32 bits must not load";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("\"version\": 2,", "\"version\": 4294967298,", "version");
+  rejects("\"blocks\": [\n    [0, ", "\"blocks\": [\n    [4294967296, ",
+          "block shard");
 }
 
 // --- campaign integration ---------------------------------------------------
