@@ -33,7 +33,6 @@
 #include "io/stream_sink.hpp"
 #include "io/table_fmt.hpp"
 #include "simd/dispatch.hpp"
-#include "stats/descriptive.hpp"
 
 using namespace cal;
 
@@ -93,24 +92,6 @@ bool tables_identical(const RawTable& a, const RawTable& b) {
     }
   }
   return true;
-}
-
-/// Median and quartiles of a replicate sample.
-struct Quartiles {
-  double q1 = 0.0, median = 0.0, q3 = 0.0;
-};
-
-Quartiles quartiles(const std::vector<double>& xs) {
-  return Quartiles{stats::quantile(xs, 0.25), stats::median(xs),
-                   stats::quantile(xs, 0.75)};
-}
-
-std::string quartile_json(const Quartiles& q) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf,
-                "{\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}", q.median,
-                q.q1, q.q3);
-  return buf;
 }
 
 struct Throughput {
@@ -233,13 +214,13 @@ int main(int argc, char** argv) {
     check.expect(bbx_identical,
                  "bbx timed decodes identical to the reference decode");
   }
-  const Quartiles csv_write = quartiles(rps[kCsvWrite]);
-  const Quartiles bbx_write = quartiles(rps[kBbxWrite]);
+  const bench::Quartiles csv_write = bench::quartiles(rps[kCsvWrite]);
+  const bench::Quartiles bbx_write = bench::quartiles(rps[kBbxWrite]);
   csv.write_rps = csv_write.median;
   bbx.write_rps = bbx_write.median;
-  const Quartiles csv_read = quartiles(rps[kCsvRead]);
-  const Quartiles bbx_read = quartiles(rps[kBbxParallel]);
-  const Quartiles bbx_seq_read = quartiles(rps[kBbxSequential]);
+  const bench::Quartiles csv_read = bench::quartiles(rps[kCsvRead]);
+  const bench::Quartiles bbx_read = bench::quartiles(rps[kBbxParallel]);
+  const bench::Quartiles bbx_seq_read = bench::quartiles(rps[kBbxSequential]);
   csv.read_rps = csv_read.median;
   bbx.read_rps = bbx_read.median;
 
@@ -327,13 +308,15 @@ int main(int argc, char** argv) {
        << ",\n  \"threads\": " << threads << ",\n  \"shards\": " << shards
        << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"replicates\": " << kReplicates << ",\n";
-  json << "  \"csv\": {\"write_records_per_sec\": " << quartile_json(csv_write);
-  json << ", \"read_records_per_sec\": " << quartile_json(csv_read)
+  json << "  \"csv\": {\"write_records_per_sec\": "
+       << bench::quartile_json(csv_write);
+  json << ", \"read_records_per_sec\": " << bench::quartile_json(csv_read)
        << ", \"bytes\": " << csv.bytes << "},\n";
-  json << "  \"bbx\": {\"write_records_per_sec\": " << quartile_json(bbx_write);
-  json << ", \"read_records_per_sec\": " << quartile_json(bbx_read);
+  json << "  \"bbx\": {\"write_records_per_sec\": "
+       << bench::quartile_json(bbx_write);
+  json << ", \"read_records_per_sec\": " << bench::quartile_json(bbx_read);
   json << ", \"read_records_per_sec_sequential\": "
-       << quartile_json(bbx_seq_read) << ", \"bytes\": " << bbx.bytes
+       << bench::quartile_json(bbx_seq_read) << ", \"bytes\": " << bbx.bytes
        << "},\n";
   std::snprintf(buf, sizeof buf, "%.2f", ratio);
   json << "  \"compression_ratio_vs_csv\": " << buf << ",\n";

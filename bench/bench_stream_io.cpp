@@ -55,13 +55,15 @@ Engine make_engine(std::size_t threads, std::size_t sink_batch = 4096) {
 }
 
 /// Deterministic resident-bytes proxy of holding `table` (records plus
-/// their factor/metric payloads), instead of rusage high-water marks
-/// that never shrink within a process.
+/// any metrics that spilled past the inline capacity), instead of rusage
+/// high-water marks that never shrink within a process.  Factor rows are
+/// shared with the plan, so they add nothing per record.
 std::size_t table_resident_bytes(const RawTable& table) {
   std::size_t bytes = table.records().capacity() * sizeof(RawRecord);
   for (const auto& rec : table.records()) {
-    bytes += rec.factors.capacity() * sizeof(Value);
-    bytes += rec.metrics.capacity() * sizeof(double);
+    if (rec.metrics.spilled()) {
+      bytes += rec.metrics.capacity() * sizeof(double);
+    }
   }
   return bytes;
 }
@@ -104,9 +106,7 @@ ModeResult run_streamed(const Plan& plan, std::size_t threads,
   // Resident proxy: two swap buffers plus one batch of records in
   // flight -- independent of campaign size, which is the whole point.
   const std::size_t batch_bytes =
-      engine.options().sink_batch *
-      (sizeof(RawRecord) + plan.factors().size() * sizeof(Value) +
-       2 * sizeof(double));
+      engine.options().sink_batch * sizeof(RawRecord);
   return ModeResult{static_cast<double>(records) / std::max(elapsed, 1e-9),
                     2 * sink_options.buffer_bytes + batch_bytes};
 }

@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
+
+#include "stats/descriptive.hpp"
 
 namespace cal::bench {
 
@@ -27,6 +30,25 @@ class Checker {
  private:
   std::size_t failures_ = 0;
 };
+
+/// Median and quartiles of a replicate sample.
+struct Quartiles {
+  double q1 = 0.0, median = 0.0, q3 = 0.0;
+};
+
+inline Quartiles quartiles(const std::vector<double>& xs) {
+  return Quartiles{stats::quantile(xs, 0.25), stats::median(xs),
+                   stats::quantile(xs, 0.75)};
+}
+
+/// {"median": m, "q1": a, "q3": b}, one decimal.
+inline std::string quartile_json(const Quartiles& q) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf,
+                "{\"median\": %.1f, \"q1\": %.1f, \"q3\": %.1f}", q.median,
+                q.q1, q.q3);
+  return buf;
+}
 
 inline std::string kb(double bytes) {
   char buf[32];

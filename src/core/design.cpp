@@ -1,7 +1,11 @@
 #include "core/design.hpp"
 
+#include <algorithm>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "io/csv.hpp"
 
@@ -60,6 +64,15 @@ Plan Plan::read_csv(std::istream& in) {
   std::vector<std::vector<Value>> observed(n_factors);
   std::vector<PlannedRun> runs;
   runs.reserve(rows.size() - 1);
+  // The last row read per cell, with the text it was parsed from: runs
+  // whose factor cells read the same text share one row, as in the plan
+  // DesignBuilder built.  Keyed by map, since the cell index is input.
+  struct CellRow {
+    const std::vector<std::string>* text = nullptr;
+    FactorRow row;
+  };
+  std::unordered_map<std::size_t, CellRow> cell_rows;
+  std::vector<Value> values(n_factors);
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const auto& row = rows[r];
     if (row.size() != header.size()) {
@@ -70,8 +83,7 @@ Plan Plan::read_csv(std::istream& in) {
     run.cell_index = static_cast<std::size_t>(std::stoull(row[1]));
     run.replicate = static_cast<std::size_t>(std::stoull(row[2]));
     for (std::size_t c = 0; c < n_factors; ++c) {
-      Value v = Value::parse(row[3 + c]);
-      run.values.push_back(v);
+      const Value& v = values[c] = Value::parse(row[3 + c]);
       auto& seen = observed[c];
       bool found = false;
       for (const auto& s : seen) {
@@ -82,6 +94,12 @@ Plan Plan::read_csv(std::istream& in) {
       }
       if (!found) seen.push_back(v);
     }
+    CellRow& shared = cell_rows[run.cell_index];
+    if (shared.text == nullptr ||
+        !std::equal(row.begin() + 3, row.end(), shared.text->begin() + 3)) {
+      shared = CellRow{&row, FactorRow(std::span<const Value>(values))};
+    }
+    run.values = shared.row;
     runs.push_back(std::move(run));
   }
 
@@ -140,25 +158,33 @@ Plan DesignBuilder::build() const {
 
   std::vector<PlannedRun> runs;
   runs.reserve(n_cells * replications_ * samples);
+  std::vector<std::size_t> level_idx(factors_.size());
+  std::vector<Value> values(factors_.size());
+  // Level factors draw nothing from `rng`, so drawing a level-only
+  // cell's row once leaves the sampled values of other plans unchanged.
+  const auto draw_row = [&] {
+    for (std::size_t f = 0; f < factors_.size(); ++f) {
+      values[f] = factors_[f].value_for_cell(level_idx[f], rng);
+    }
+    return FactorRow(std::span<const Value>(values));
+  };
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
     // Decompose the cell index into per-factor level indices
     // (mixed-radix, first factor varies slowest).
-    std::vector<std::size_t> level_idx(factors_.size());
     std::size_t rest = cell;
     for (std::size_t f = factors_.size(); f-- > 0;) {
       const std::size_t radix = factors_[f].cell_count();
       level_idx[f] = rest % radix;
       rest /= radix;
     }
+    // Without a sampled factor every run of the cell shares one row.
+    const FactorRow cell_row = has_sampled ? FactorRow() : draw_row();
     for (std::size_t rep = 0; rep < replications_; ++rep) {
       for (std::size_t s = 0; s < samples; ++s) {
         PlannedRun run;
         run.cell_index = cell;
         run.replicate = rep;
-        run.values.reserve(factors_.size());
-        for (std::size_t f = 0; f < factors_.size(); ++f) {
-          run.values.push_back(factors_[f].value_for_cell(level_idx[f], rng));
-        }
+        run.values = has_sampled ? draw_row() : cell_row;
         runs.push_back(std::move(run));
       }
     }

@@ -19,16 +19,19 @@
 #include <vector>
 
 #include "core/factor.hpp"
+#include "core/row.hpp"
 #include "core/value.hpp"
 
 namespace cal {
 
 /// One planned run: values for each factor, in the plan's factor order.
+/// In a plan without sampled factors every run of a cell shares one
+/// interned row; with one, each run has its own row.
 struct PlannedRun {
   std::size_t run_index = 0;   ///< position in execution order (0-based)
   std::size_t cell_index = 0;  ///< which factorial cell this run replicates
   std::size_t replicate = 0;   ///< replicate number within the cell
-  std::vector<Value> values;   ///< one value per plan factor
+  FactorRow values;            ///< one value per plan factor
 };
 
 /// A fully materialized experiment plan.

@@ -101,7 +101,7 @@ class WelfordCells {
 
  private:
   struct Acc {
-    std::vector<Value> factors;
+    FactorRow factors;
     std::size_t n = 0;
     std::vector<double> mean;
     std::vector<double> m2;
@@ -133,8 +133,10 @@ class SinkCloser {
 
 /// One window's measurements, flat: run k -- order[begin + k] -- has
 /// metrics [k * width, (k + 1) * width) and duration elapsed_s[k].  A
-/// worker copies each result in here and frees the MeasureResult
-/// itself, so no allocation made on a worker is ever freed by the
+/// worker copies each result in here and drops the MeasureResult
+/// itself.  Up to MetricRow::kInlineCapacity metrics a result never
+/// touched the heap; a wider one spilled on the worker and is freed
+/// there, so no allocation made on a worker is ever freed by the
 /// merging thread (whose frees would contend for the worker's malloc
 /// arena while the next window is being measured).
 struct MeasuredWindow {
@@ -398,6 +400,8 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
 
   drive(*this, order, first, count, factory, /*sweep=*/false,
         [&](const MeasuredWindow& window, const std::vector<double>& stamps) {
+          // One allocation per window: a record shares its run's factor
+          // row and holds its metrics inline.
           std::vector<RawRecord> batch(window.size());
           for (std::size_t k = 0; k < batch.size(); ++k) {
             const PlannedRun& planned = order[window.begin + k];

@@ -92,10 +92,11 @@ struct MeasureContext {
   std::size_t worker = 0;    ///< worker executing the run (0 if one worker)
 };
 
-/// Result of one measurement.
+/// Result of one measurement.  Brace-built as {{m0, m1, ...}, elapsed};
+/// up to MetricRow::kInlineCapacity metrics cost no heap allocation.
 struct MeasureResult {
-  std::vector<double> metrics;  ///< aligned to Engine metric names
-  double elapsed_s = 0.0;       ///< simulated duration; advances the clock
+  MetricRow metrics;        ///< aligned to Engine metric names
+  double elapsed_s = 0.0;   ///< simulated duration; advances the clock
 };
 
 using MeasureFn =
@@ -136,7 +137,7 @@ struct WindowStats {
 
 /// Per-cell summary produced by the opaque execution mode.
 struct OpaqueCellSummary {
-  std::vector<Value> factors;
+  FactorRow factors;
   std::size_t n = 0;
   std::vector<double> mean;  ///< per metric
   std::vector<double> sd;    ///< per metric (sample sd, n-1)
@@ -175,7 +176,11 @@ class Engine {
     /// windows of this many runs, so at most one window of results + one
     /// batch of records is ever held inline, and two windows of results
     /// + one batch when pipelined over a pool (run_opaque: one resp. two
-    /// windows of results).
+    /// windows of results).  A window of results is sink_batch x
+    /// (metrics + 1) doubles; a batch is sink_batch RawRecords, whose
+    /// factor rows are shared with the plan and whose metrics are inline
+    /// up to MetricRow::kInlineCapacity, so a batch adds no per-record
+    /// heap memory beyond wider metric rows.
     /// Larger windows amortize sink and wake-up overhead; smaller ones
     /// tighten the memory bound.  Output is bit-identical at any size.
     std::size_t sink_batch = 4096;

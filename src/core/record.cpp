@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "io/csv.hpp"
@@ -168,6 +169,7 @@ RawTable RawTable::read_csv(std::istream& in, std::size_t n_factors) {
       header.begin() + kBookkeeping + static_cast<std::ptrdiff_t>(n_factors),
       header.end());
   RawTable table(std::move(factor_names), std::move(metric_names));
+  std::vector<Value> factors(n_factors);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const auto& row = rows[i];
     if (row.size() != header.size()) {
@@ -179,8 +181,9 @@ RawTable RawTable::read_csv(std::istream& in, std::size_t n_factors) {
     rec.replicate = static_cast<std::size_t>(std::stoull(row[2]));
     rec.timestamp_s = std::stod(row[3]);
     for (std::size_t c = 0; c < n_factors; ++c) {
-      rec.factors.push_back(Value::parse(row[kBookkeeping + c]));
+      factors[c] = Value::parse(row[kBookkeeping + c]);
     }
+    rec.factors = FactorRow(std::span<const Value>(factors));
     for (std::size_t c = kBookkeeping + n_factors; c < row.size(); ++c) {
       rec.metrics.push_back(std::stod(row[c]));
     }

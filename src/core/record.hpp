@@ -8,12 +8,20 @@
 // keep all information, delaying the analysis" (paper, Section V).  The
 // sequence index and timestamp are what make temporal diagnostics like
 // Fig. 11 (right) possible at all.
+//
+// Ownership: a record does not own a copy of its factor values.  It holds
+// a handle to its planned run's FactorRow, which a level-only plan shares
+// among every replicate of a cell, and its metrics sit inline
+// (MetricRow, heap only past MetricRow::kInlineCapacity).  Copying or
+// moving a record therefore never allocates for a typical campaign, and
+// a record stays valid after its Plan is gone.
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "core/row.hpp"
 #include "core/value.hpp"
 
 namespace cal {
@@ -23,8 +31,8 @@ struct RawRecord {
   std::size_t cell_index = 0;    ///< factorial cell of the plan
   std::size_t replicate = 0;     ///< replicate within the cell
   double timestamp_s = 0.0;      ///< simulated wall-clock start time
-  std::vector<Value> factors;    ///< factor values, plan factor order
-  std::vector<double> metrics;   ///< measured values, table metric order
+  FactorRow factors;             ///< factor values, plan factor order
+  MetricRow metrics;             ///< measured values, table metric order
 };
 
 /// The raw-result CSV header row: bookkeeping columns, then factor names,

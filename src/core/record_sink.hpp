@@ -43,7 +43,10 @@ class RecordSink {
                      const std::vector<std::string>& metric_names,
                      std::size_t expected_records) = 0;
 
-  /// Takes ownership of one plan-ordered batch.
+  /// Takes ownership of one plan-ordered batch.  Its records share their
+  /// factor rows with the plan (and with each other), so a sink may keep,
+  /// copy or drop them at the cost of a handle each; none of them owns
+  /// heap memory unless its metrics outgrew MetricRow's inline capacity.
   virtual void consume(std::vector<RawRecord> batch) = 0;
 
   /// Flushes and finalizes; throws if any record could not be persisted.

@@ -32,14 +32,6 @@ void append_real(std::string& out, double v) {
   out.append(buf, format_real_to(v, buf));
 }
 
-ValueKind Value::kind() const noexcept {
-  switch (data_.index()) {
-    case 0: return ValueKind::kInt;
-    case 1: return ValueKind::kReal;
-    default: return ValueKind::kString;
-  }
-}
-
 std::int64_t Value::as_int() const {
   if (const auto* i = std::get_if<std::int64_t>(&data_)) return *i;
   if (const auto* r = std::get_if<double>(&data_)) {

@@ -27,7 +27,13 @@ class Value {
   Value(std::string v) : data_(std::move(v)) {} // NOLINT(google-explicit-constructor)
   Value(const char* v) : data_(std::string(v)) {}  // NOLINT
 
-  ValueKind kind() const noexcept;
+  ValueKind kind() const noexcept {
+    switch (data_.index()) {
+      case 0: return ValueKind::kInt;
+      case 1: return ValueKind::kReal;
+      default: return ValueKind::kString;
+    }
+  }
 
   bool is_int() const noexcept { return kind() == ValueKind::kInt; }
   bool is_real() const noexcept { return kind() == ValueKind::kReal; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -561,20 +562,23 @@ std::vector<RawRecord> decode_block(const std::string& raw,
   const Column replicate = view.column(kReplicateColumn);
   const Column timestamps = view.column(kTimestampColumn);
 
+  std::vector<Column> factor_columns;
+  factor_columns.reserve(n_factors);
+  for (std::size_t f = 0; f < n_factors; ++f) {
+    factor_columns.push_back(view.column(kFirstFactorColumn + f));
+  }
+  std::vector<Value> factors(n_factors);
   std::vector<RawRecord> records(n);
   for (std::size_t i = 0; i < n; ++i) {
     records[i].sequence = static_cast<std::size_t>(sequence.i64[i]);
     records[i].cell_index = static_cast<std::size_t>(cell.i64[i]);
     records[i].replicate = static_cast<std::size_t>(replicate.i64[i]);
     records[i].timestamp_s = timestamps.f64[i];
-    records[i].factors.reserve(n_factors);
-    records[i].metrics.resize(n_metrics);
-  }
-  for (std::size_t f = 0; f < n_factors; ++f) {
-    const Column column = view.column(kFirstFactorColumn + f);
-    for (std::size_t i = 0; i < n; ++i) {
-      records[i].factors.push_back(column.value_at(i));
+    for (std::size_t f = 0; f < n_factors; ++f) {
+      factors[f] = factor_columns[f].value_at(i);
     }
+    records[i].factors = FactorRow(std::span<const Value>(factors));
+    records[i].metrics.resize(n_metrics);
   }
   for (std::size_t m = 0; m < n_metrics; ++m) {
     const Column column = view.column(kFirstFactorColumn + n_factors + m);

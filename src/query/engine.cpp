@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -832,7 +833,8 @@ RawTable QueryResult::to_table() const {
     record.sequence = i;
     record.cell_index = i;
     record.factors = rows[i].key;
-    record.metrics = rows[i].values;
+    record.metrics.assign(rows[i].values.data(),
+                          rows[i].values.data() + rows[i].values.size());
     table.append(std::move(record));
   }
   return table;
@@ -1025,6 +1027,7 @@ RawTable BundleQuery::materialize(const ExprPtr& where,
              const auto index_at = [&](std::size_t id, std::size_t i) {
                return static_cast<std::size_t>(d[id].i64[i]);
              };
+             std::vector<Value> factors(factor_ids.size());
              for (std::size_t i = 0; i < d.records; ++i) {
                if (mask && !(*mask)[i]) continue;
                RawRecord record;
@@ -1032,10 +1035,10 @@ RawTable BundleQuery::materialize(const ExprPtr& where,
                record.cell_index = index_at(ar::kCellColumn, i);
                record.replicate = index_at(ar::kReplicateColumn, i);
                record.timestamp_s = d[ar::kTimestampColumn].f64[i];
-               record.factors.reserve(factor_ids.size());
-               for (const std::size_t id : factor_ids) {
-                 record.factors.push_back(d[id].value_at(i));
+               for (std::size_t f = 0; f < factor_ids.size(); ++f) {
+                 factors[f] = d[factor_ids[f]].value_at(i);
                }
+               record.factors = FactorRow(std::span<const Value>(factors));
                record.metrics.reserve(metric_ids.size());
                for (const std::size_t id : metric_ids) {
                  record.metrics.push_back(d[id].f64[i]);

@@ -35,7 +35,7 @@ std::size_t require_factor(const RawTable& table, const std::string& name) {
 /// Per-cell accumulator: sums of every column the checks consume.
 struct CellAcc {
   std::size_t n = 0;
-  std::vector<Value> factors;
+  FactorRow factors;
   double cycles = 0.0;
   double instructions = 0.0;
   double l1_hits = 0.0;
@@ -48,7 +48,7 @@ struct CellAcc {
 };
 
 std::string describe_factors(const RawTable& table,
-                             const std::vector<Value>& factors) {
+                             const FactorRow& factors) {
   std::string out;
   const auto& names = table.factor_names();
   for (std::size_t i = 0; i < factors.size() && i < names.size(); ++i) {

@@ -60,7 +60,7 @@ struct CrosscheckOptions {
 /// Counter-derived rates for one plan cell (means over replicates).
 struct CounterRates {
   std::size_t cell_index = 0;
-  std::vector<Value> factors;        ///< first record's factor values
+  FactorRow factors;                 ///< first record's factor values
   double accesses = 0.0;             ///< l1_hits + l1_misses
   double cycles_per_access = 0.0;
   double ipc = 0.0;                  ///< instructions / cycles
@@ -75,7 +75,7 @@ struct CrosscheckFinding {
   std::string check;          ///< stall_accounting | cycle_accounting |
                               ///< effective_frequency
   std::size_t cell_index = 0;
-  std::vector<Value> factors;
+  FactorRow factors;
   double measured = 0.0;
   double predicted = 0.0;
   double rel_error = 0.0;

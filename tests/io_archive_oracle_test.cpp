@@ -480,9 +480,11 @@ std::vector<RawRecord> random_block(std::mt19937_64& rng, std::size_t n,
     r.timestamp_s = timestamp_non_finite && coin(rng) == 0
                         ? random_real(rng, true)
                         : now;
+    std::vector<Value> factors;
     for (std::size_t f = 0; f < n_factors; ++f) {
-      r.factors.push_back(draw_factor(rng, specs[f], i));
+      factors.push_back(draw_factor(rng, specs[f], i));
     }
+    r.factors = std::move(factors);
     for (std::size_t m = 0; m < n_metrics; ++m) {
       r.metrics.push_back(random_real(rng, metric_non_finite[m]));
     }
@@ -519,7 +521,7 @@ TEST(ArchiveOracle, EveryFactorProfileAtEveryBlockSize) {
                         n > 1 ? n - 1 : 0, profile % 2 == 0};
         std::vector<RawRecord> records = random_block(rng, n, 0, 1);
         for (std::size_t i = 0; i < n; ++i) {
-          records[i].factors.push_back(draw_factor(rng, spec, i));
+          records[i].factors = {draw_factor(rng, spec, i)};
         }
         SCOPED_TRACE("n " + std::to_string(n) + " profile " +
                      std::to_string(profile) + " levels " +
