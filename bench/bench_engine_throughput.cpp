@@ -164,29 +164,6 @@ IngestSample time_ingest(const Plan& plan, RecordSink& sink) {
       static_cast<double>(g_allocations.load() - allocations0) / n};
 }
 
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
-}
-
-/// JSON string literal for host text (quotes and backslashes escaped).
-std::string json_string(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
 std::string csv_at(const Plan& plan, const MeasureFn& measure,
                    std::size_t threads) {
   Engine::Options options;
@@ -340,10 +317,8 @@ int main(int argc, char** argv) {
   }
   json << "{\n  \"bench\": \"engine_throughput\",\n  \"runs\": "
        << plan.size() << ",\n  \"hardware_threads\": "
-       << std::thread::hardware_concurrency() << ",\n  \"host\": {\"cpu\": "
-       << json_string(cpu_model()) << ", \"build\": "
-       << json_string(core::build_info_line("bench_engine_throughput"))
-       << "},\n";
+       << std::thread::hardware_concurrency() << ",\n  \"host\": "
+       << bench::host_json("bench_engine_throughput") << ",\n";
   emit_json(json, "waiting", waiting);
   json << ",\n";
   emit_json(json, "cpu_bound", cpu_bound);

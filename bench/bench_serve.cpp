@@ -5,9 +5,9 @@
 // (the floor was 5x against the scalar decoder; the SIMD kernel layer
 // cut the cold decode itself ~3x, shrinking the cache's relative win),
 // responses byte-identical to the local query path at every worker
-// count and cache configuration (including cache disabled), cache hits
-// on the warm pass, and request coalescing observed under concurrent
-// identical load (and absent with --no-coalesce semantics).
+// count and cache configuration (including a zero byte budget), cache
+// hits on the warm pass, and request coalescing observed under
+// concurrent identical load.
 //
 //   bench_serve [json-path] [--smoke]
 //
@@ -224,7 +224,8 @@ int main(int argc, char** argv) {
   server.stop();
 
   // Byte-identity matrix: worker count x cache configuration, including
-  // cache disabled and a budget small enough to evict constantly.
+  // a zero budget (retains nothing) and a budget small enough to evict
+  // constantly.
   {
     bool identical = true;
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
@@ -234,7 +235,7 @@ int main(int argc, char** argv) {
         options.socket_path = root + "/matrix.sock";
         options.workers = workers;
         if (cache_mode == 0) {
-          options.cache.enabled = false;
+          options.cache.byte_budget = 0;  // retains nothing
         } else if (cache_mode == 1) {
           options.cache.byte_budget = 64u << 10;  // evicts constantly
         }
@@ -251,7 +252,7 @@ int main(int argc, char** argv) {
     }
     check.expect(identical,
                  "byte-identical at workers {1,2,8} x cache "
-                 "{disabled, evicting, default}, cold and warm");
+                 "{budget 0, evicting, default}, cold and warm");
   }
 
   io::TextTable table({"path", "seconds/query"});
@@ -273,7 +274,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   char buf[64];
-  json << "{\n  \"bench\": \"serve\",\n  \"runs\": " << plan.size()
+  json << "{\n  \"bench\": \"serve\",\n  \"host\": "
+       << bench::host_json("bench_serve")
+       << ",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ",\n  \"runs\": " << plan.size()
        << ",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"queries_per_pass\": " << kQueries
        << ",\n  \"cache_hits\": " << final_stats.hits

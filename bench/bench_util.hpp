@@ -3,10 +3,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/build_info.hpp"
 #include "stats/descriptive.hpp"
 
 namespace cal::bench {
@@ -54,6 +56,31 @@ inline std::string kb(double bytes) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.0fK", bytes / 1024.0);
   return buf;
+}
+
+/// The host a bench ran on, for its JSON: {"cpu": "<model name>",
+/// "build": core::build_info_line(program)}.
+inline std::string host_json(const std::string& program) {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+        colon + 2 <= line.size()) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  const auto quoted = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  };
+  return "{\"cpu\": " + quoted(cpu) +
+         ", \"build\": " + quoted(core::build_info_line(program)) + "}";
 }
 
 }  // namespace cal::bench

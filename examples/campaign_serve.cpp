@@ -1,8 +1,7 @@
 // campaign_serve: serve a directory of bbx bundles over a socket.
 //
 //   campaign_serve <catalog-dir> (--socket <path> | --tcp <port>)
-//                  [--workers N] [--cache-mb MB] [--no-cache]
-//                  [--no-coalesce]
+//                  [--workers N] [--cache-mb MB]
 //
 // The catalog directory's immediate subdirectories are the servable
 // bundles (each must hold a manifest.bbx.json); clients address them by
@@ -10,6 +9,8 @@
 // request (`campaign_query --server ... --shutdown`) or the process
 // receives SIGINT/SIGTERM.
 //
+// --cache-mb sets the decoded-column cache's byte budget (default 256);
+// --cache-mb 0 retains nothing, so every query decodes from the shards.
 // --tcp binds loopback only; --tcp 0 picks an ephemeral port and prints
 // it, so scripts can scrape "listening tcp <port>" from stdout.
 
@@ -28,7 +29,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: campaign_serve <catalog-dir> (--socket <path> | --tcp <port>)\n"
-    "         [--workers N] [--cache-mb MB] [--no-cache] [--no-coalesce]\n"
+    "         [--workers N] [--cache-mb MB]\n"
     "         [--trace <path>] [--version]\n";
 
 serve::QueryServer* g_server = nullptr;
@@ -66,10 +67,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-mb") {
         options.cache.byte_budget =
             examples::parse_size_flag(arg, next()) << 20;
-      } else if (arg == "--no-cache") {
-        options.cache.enabled = false;
-      } else if (arg == "--no-coalesce") {
-        options.coalesce_requests = false;
       } else if (arg == "--trace") {
         trace_path = next();
       } else {

@@ -298,18 +298,6 @@ void collect_needs(const Node& node, ColumnSet& needs) {
   }
 }
 
-simd::Cmp to_simd(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return simd::Cmp::kEq;
-    case CmpOp::kNe: return simd::Cmp::kNe;
-    case CmpOp::kLt: return simd::Cmp::kLt;
-    case CmpOp::kLe: return simd::Cmp::kLe;
-    case CmpOp::kGt: return simd::Cmp::kGt;
-    case CmpOp::kGe: return simd::Cmp::kGe;
-  }
-  return simd::Cmp::kEq;
-}
-
 /// One comparison node over its typed column: the one place the engine
 /// applies value_compare's rules to decoded data.  `refine` is the
 /// column-level analogue of && short-circuiting: only records whose
@@ -355,7 +343,7 @@ void cmp_mask(const Node& node, const DecodedColumns& d,
     return;
   }
   if (col.kind == Kind::kI64 && lit.is_int()) {
-    kernels.cmp_mask_i64(col.i64.data(), n, to_simd(op), lit.as_int(),
+    kernels.cmp_mask_i64(col.i64.data(), n, op, lit.as_int(),
                          mask.data(), refine);
     return;
   }
@@ -365,7 +353,7 @@ void cmp_mask(const Node& node, const DecodedColumns& d,
     widened.assign(col.i64.begin(), col.i64.end());
     values = widened.data();
   }
-  kernels.cmp_mask_f64(values, n, to_simd(op), lit.as_real(), mask.data(),
+  kernels.cmp_mask_f64(values, n, op, lit.as_real(), mask.data(),
                        refine);
 }
 

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "core/value.hpp"
+#include "simd/dispatch.hpp"
 
 namespace cal::query {
 
@@ -41,7 +42,9 @@ struct ColumnRef {
   std::string name;  ///< kNamed: schema name; else display name only
 };
 
-enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
+/// The comparison ops: the SIMD kernels' enum, so a compiled predicate
+/// hands its op to the column kernels as is.
+using CmpOp = simd::Cmp;
 
 /// Display form ("==", "!=", "<", "<=", ">", ">=").
 const char* to_string(CmpOp op) noexcept;

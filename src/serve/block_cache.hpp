@@ -5,41 +5,27 @@
 // small queries": the same blocks decode over and over, and decode
 // (CRC + LZ decompress + column decode) dominates a selective query.
 // BlockCache keeps decoded columns -- keyed by (bundle, block, column)
-// -- behind a byte budget with LRU eviction, and coalesces concurrent
-// decodes of the same column into one (single-flight), so a stampede of
-// identical sub-scans costs one decode, not N.
+// -- behind a byte budget with LRU eviction.
 //
 // Admission is decided by the *caller* (serve::CachingBlockSource): only
 // columns a query actually scanned are ever offered, and the query
 // planner prunes zone-map-rejected blocks before the scan -- so a block
 // a predicate prunes is never decoded and never admitted.  The cache
 // itself enforces the byte budget: an insert evicts least-recently-used
-// entries until the budget holds again (an entry wider than the whole
-// budget is handed to waiters but not retained).
+// entries until the budget holds again, and an entry wider than the
+// whole budget is not retained at all.
 //
-// Single-flight protocol (the "no double-decode" guarantee):
-//
-//   auto hit = cache.get_or_begin(key, &owner);
-//   if (hit)        use it                         // hit
-//   else if (owner) decode; cache.insert(key, col) // first-comer decodes
-//   else            hit = cache.wait(key)          // follower waits
-//
-// The owner MUST resolve every key it owns -- insert() on success,
-// abandon() on failure -- before waiting on any key it does not own;
-// that ordering is what makes concurrent scans deadlock-free.  wait()
-// returns null when the owner abandoned (the waiter retries
-// get_or_begin and may become the new owner), so a failing request
-// never wedges its followers and never leaves a poisoned entry behind.
-//
-// All operations are thread-safe; Stats is a consistent snapshot.
+// The cache does not coalesce concurrent decodes of one column: the
+// daemon runs one query at a time (serve::QueryServer), so two scans
+// never race for the same miss.  All operations are thread-safe -- one
+// scan's pool workers insert concurrently -- and Stats is a consistent
+// snapshot.
 
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "io/archive/column_codec.hpp"
 
@@ -52,13 +38,9 @@ using CachedColumn = io::archive::Column;
 class BlockCache {
  public:
   struct Options {
-    /// Total decoded bytes retained; 0 disables retention entirely
-    /// (every lookup misses, single-flight still coalesces).
+    /// Total decoded bytes retained; 0 retains nothing (every lookup
+    /// misses, every insert is rejected).
     std::size_t byte_budget = 256u << 20;
-    /// Master switch: false makes the cache a transparent no-op --
-    /// every get_or_begin returns ownership, inserts are dropped.
-    /// (The "cache disabled" configuration must stay byte-identical.)
-    bool enabled = true;
   };
 
   struct Key {
@@ -79,13 +61,11 @@ class BlockCache {
   };
 
   struct Stats {
-    std::uint64_t hits = 0;       ///< resolved entry found
-    std::uint64_t misses = 0;     ///< nothing cached (ownership granted)
-    std::uint64_t coalesced = 0;  ///< joined another thread's decode
-    std::uint64_t inserts = 0;
+    std::uint64_t hits = 0;       ///< lookups that found an entry
+    std::uint64_t misses = 0;     ///< lookups that found nothing
+    std::uint64_t inserts = 0;    ///< new keys offered (retained or not)
     std::uint64_t evictions = 0;
     std::uint64_t rejected = 0;   ///< wider than the whole budget
-    std::uint64_t abandoned = 0;
     std::size_t bytes = 0;        ///< currently retained
     std::size_t entries = 0;      ///< currently retained
   };
@@ -93,60 +73,32 @@ class BlockCache {
   BlockCache() : BlockCache(Options{}) {}
   explicit BlockCache(Options options);
 
-  /// Plain lookup (no single-flight): the entry, or null.  Refreshes
-  /// recency on hit.
+  /// The entry, or null; counts a hit or a miss and refreshes recency
+  /// on a hit.
   std::shared_ptr<const CachedColumn> get(const Key& key);
 
-  /// Single-flight lookup.  Returns the entry on a hit.  On a miss:
-  /// `*owner` is true when this caller must decode and then insert() or
-  /// abandon() the key; false when another thread already owns the
-  /// decode -- call wait() for the result *after* resolving every key
-  /// this caller owns.  Never blocks.
-  std::shared_ptr<const CachedColumn> get_or_begin(const Key& key,
-                                                   bool* owner);
-
-  /// Blocks until `key`'s in-flight decode resolves.  Returns the
-  /// inserted entry, or null when the owner abandoned (or the key is
-  /// simply absent) -- the caller should retry get_or_begin.
-  std::shared_ptr<const CachedColumn> wait(const Key& key);
-
-  /// Publishes an owned key's decoded column: parked wait()ers receive
-  /// the value even when the byte budget retains nothing (the entry is
-  /// then dropped; later arrivals miss and retry), and LRU entries are
-  /// evicted until the budget holds.  Insert of a non-owned key is
-  /// allowed (plain put) and follows the same admission rules.
+  /// Offers a decoded column.  The first value for a key wins (a later
+  /// insert of a present key is ignored); an insert wider than the
+  /// budget, or any insert under a zero budget, counts as rejected and
+  /// is not retained; otherwise LRU entries are evicted until the
+  /// budget holds.
   void insert(const Key& key, std::shared_ptr<const CachedColumn> column);
-
-  /// Resolves an owned key with no value after a failed decode: waiters
-  /// wake and retry.  No-op when the key is resolved or absent -- an
-  /// abandoned scan can blanket-abandon everything it began safely.
-  void abandon(const Key& key);
-
-  /// Drops every retained entry (in-flight decodes are unaffected).
-  void clear();
 
   Stats stats() const;
   const Options& options() const noexcept { return options_; }
 
  private:
   struct Entry {
-    bool pending = true;
-    std::shared_ptr<const CachedColumn> column;     ///< resolved value
-    std::size_t bytes = 0;                           ///< column->bytes()
-    std::list<Key>::iterator lru;                    ///< valid iff retained
-    bool retained = false;
+    Key key;
+    std::shared_ptr<const CachedColumn> column;
+    std::size_t bytes = 0;  ///< column->bytes()
   };
-
-  /// Locked: evicts LRU entries until retained bytes fit the budget.
-  void shrink_locked();
+  using Lru = std::list<Entry>;  ///< front = most recent, back = victim
 
   const Options options_;
   mutable std::mutex mu_;
-  std::condition_variable resolved_cv_;
-  // shared_ptr so a wait()er can hold an entry across its removal from
-  // the map (unretained insert, abandon, eviction).
-  std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> entries_;
-  std::list<Key> lru_;  ///< front = most recent, back = eviction victim
+  Lru lru_;
+  std::unordered_map<Key, Lru::iterator, KeyHash> index_;
   Stats stats_;
 };
 

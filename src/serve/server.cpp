@@ -231,10 +231,8 @@ Response QueryServer::execute(const Request& request) {
 }
 
 Response QueryServer::dispatch(const Request& request) {
-  const bool coalescable =
-      options_.coalesce_requests &&
-      (request.kind == RequestKind::kAggregate ||
-       request.kind == RequestKind::kMaterialize);
+  const bool coalescable = request.kind == RequestKind::kAggregate ||
+                           request.kind == RequestKind::kMaterialize;
   if (!coalescable) return run_query(request);
 
   const std::string key = encode_request(request);
@@ -326,11 +324,9 @@ Response QueryServer::run_query(const Request& request) {
             << "\n"
             << "cache_hits," << cache.hits << "\n"
             << "cache_misses," << cache.misses << "\n"
-            << "cache_coalesced," << cache.coalesced << "\n"
             << "cache_inserts," << cache.inserts << "\n"
             << "cache_evictions," << cache.evictions << "\n"
             << "cache_rejected," << cache.rejected << "\n"
-            << "cache_abandoned," << cache.abandoned << "\n"
             << "cache_bytes," << cache.bytes << "\n"
             << "cache_entries," << cache.entries << "\n";
         return {Status::kOk, out.str()};

@@ -12,12 +12,13 @@
 //              is single-producer, so execution serializes at the query
 //              level (a mutex) while each query scans block-parallel --
 //              and that serialization is also what keeps responses
-//              byte-identical under concurrency: queries cannot
-//              interleave partial merges;
+//              byte-identical under concurrency (queries cannot
+//              interleave partial merges) and what lets the cache skip
+//              single-flight: one query at a time means no two scans
+//              ever decode the same column concurrently;
 //   coalescing identical concurrent requests (same kind, bundle,
 //              predicate, grouping, aggregates, projection) collapse
-//              into one execution whose response every caller shares --
-//              on top of the cache's column-level single-flight;
+//              into one execution whose response every caller shares;
 //   transport  length-prefixed frames (serve/protocol.hpp) over a unix
 //              socket, a loopback TCP socket, or both; one thread per
 //              connection, graceful shutdown via socket shutdown + join.
@@ -26,8 +27,8 @@
 // bundle, injected fault) produces a kError response -- or, for
 // protocol-level garbage, a closed connection -- and nothing else.  The
 // worker pool stays healthy (it rethrows per-window and is reusable by
-// design) and the cache stays clean (the scan abandons what it could
-// not fill; see serve/cached_source.hpp).
+// design) and the cache stays clean (a failed scan leaves behind only
+// complete columns; see serve/cached_source.hpp).
 
 #include <atomic>
 #include <chrono>
@@ -51,7 +52,6 @@ struct ServerOptions {
   int tcp_port = -1;        ///< loopback TCP (-1 = none, 0 = ephemeral)
   std::size_t workers = 1;  ///< shared pool width (1 = sequential scans)
   BlockCache::Options cache;
-  bool coalesce_requests = true;
 };
 
 class QueryServer {
@@ -112,7 +112,9 @@ class QueryServer {
   const ServerOptions options_;
 
   std::unique_ptr<core::WorkerPool> pool_;
-  std::mutex query_mu_;  ///< single-producer pool: one query at a time
+  /// One query at a time: the pool is single-producer, and the cache
+  /// relies on it to never decode one column twice concurrently.
+  std::mutex query_mu_;
 
   std::mutex flight_mu_;
   std::condition_variable flight_cv_;

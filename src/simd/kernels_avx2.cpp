@@ -43,7 +43,9 @@ void lz_match_copy_chunked(char* dst, std::size_t offset, std::size_t len) {
 
 void f64le_decode_bulk(const void* src, std::size_t n, double* out) {
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, src, n * sizeof(double));
+    // A zero-record column may hand in a null `out`, and memcpy's
+    // pointers must be valid even for a zero size.
+    if (n != 0) std::memcpy(out, src, n * sizeof(double));
   } else {
     f64le_decode_scalar(src, n, out);
   }

@@ -14,14 +14,16 @@ std::size_t delta_varint_decode_scalar(const unsigned char* data,
                                        std::size_t size, std::size_t n,
                                        std::uint64_t* out) {
   std::size_t pos = 0;
-  std::int64_t prev = 0;
+  // Unsigned, so an extreme delta wraps (two's complement) instead of
+  // overflowing a signed accumulator; the output bits are the same.
+  std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t v = 0;
     const std::size_t used = decode_one_varint(data + pos, size - pos, &v);
     if (used == 0) return kDecodeError;
     pos += used;
-    prev += unzigzag(v);
-    out[i] = static_cast<std::uint64_t>(prev);
+    prev += static_cast<std::uint64_t>(unzigzag(v));
+    out[i] = prev;
   }
   return pos;
 }

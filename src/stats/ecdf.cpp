@@ -26,15 +26,4 @@ double Ecdf::quantile(double p) const {
   return sorted_[std::min(idx, sorted_.size() - 1)];
 }
 
-double Ecdf::ks_distance(const Ecdf& a, const Ecdf& b) {
-  // Evaluate both CDFs at every jump point of either.
-  double d = 0.0;
-  for (const auto& sample : {a.sorted_, b.sorted_}) {
-    for (const double x : sample) {
-      d = std::max(d, std::abs(a(x) - b(x)));
-    }
-  }
-  return d;
-}
-
 }  // namespace cal::stats

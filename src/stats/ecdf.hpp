@@ -4,9 +4,8 @@
 // The Confidence tool (Section II-B of the paper) argued that variability
 // itself is a first-class characteristic of modern HPC systems, hidden by
 // mean-reporting benchmarks.  Ecdf gives the analysis stage the empirical
-// CDF of a raw sample: evaluation, quantile inversion, tail probabilities
-// and a two-sample Kolmogorov-Smirnov distance for comparing campaigns
-// ("similar inputs, completely different outputs").
+// CDF of a raw sample: evaluation, quantile inversion and tail
+// probabilities.
 
 #include <span>
 #include <vector>
@@ -30,9 +29,6 @@ class Ecdf {
   std::size_t size() const noexcept { return sorted_.size(); }
   double min() const { return sorted_.front(); }
   double max() const { return sorted_.back(); }
-
-  /// Kolmogorov-Smirnov statistic sup_x |F_a(x) - F_b(x)|.
-  static double ks_distance(const Ecdf& a, const Ecdf& b);
 
  private:
   std::vector<double> sorted_;

@@ -26,8 +26,7 @@ double between_ss(const std::vector<Group>& groups, double grand_mean) {
   return ss;
 }
 
-}  // namespace
-
+/// Main effect of one factor on a metric.
 FactorEffect main_effect(const RawTable& table, const std::string& factor,
                          const std::string& metric) {
   if (table.empty()) throw std::invalid_argument("main_effect: empty table");
@@ -54,6 +53,8 @@ FactorEffect main_effect(const RawTable& table, const std::string& factor,
   return out;
 }
 
+}  // namespace
+
 std::vector<FactorEffect> main_effects(const RawTable& table,
                                        const std::string& metric) {
   std::vector<FactorEffect> out;
@@ -65,32 +66,6 @@ std::vector<FactorEffect> main_effects(const RawTable& table,
             [](const FactorEffect& a, const FactorEffect& b) {
               return a.variance_share > b.variance_share;
             });
-  return out;
-}
-
-InteractionEffect interaction_effect(const RawTable& table,
-                                     const std::string& factor_a,
-                                     const std::string& factor_b,
-                                     const std::string& metric) {
-  if (table.empty()) {
-    throw std::invalid_argument("interaction_effect: empty table");
-  }
-  const auto response = table.metric_column(metric);
-  const double grand_mean = mean(response);
-  const double ss_total = total_ss(response, grand_mean);
-
-  const double ss_a =
-      between_ss(group_metric(table, {factor_a}, metric), grand_mean);
-  const double ss_b =
-      between_ss(group_metric(table, {factor_b}, metric), grand_mean);
-  const double ss_cells = between_ss(
-      group_metric(table, {factor_a, factor_b}, metric), grand_mean);
-
-  InteractionEffect out;
-  out.factor_a = factor_a;
-  out.factor_b = factor_b;
-  out.variance_share =
-      ss_total > 0.0 ? std::max(ss_cells - ss_a - ss_b, 0.0) / ss_total : 0.0;
   return out;
 }
 

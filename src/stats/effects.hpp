@@ -5,8 +5,7 @@
 // randomized factorial campaign has produced a raw table, the natural
 // first analysis is: which factors actually move the response, and by
 // how much?  main_effects() estimates per-level effects and a
-// variance-decomposition share for each factor; interaction_effect()
-// quantifies a two-factor interaction.  This is how Fig. 13's
+// variance-decomposition share for each factor.  This is how Fig. 13's
 // cause-and-effect diagram is turned into numbers.
 
 #include <string>
@@ -34,25 +33,9 @@ struct FactorEffect {
   double max_abs_effect = 0.0;
 };
 
-/// Main effect of one factor on a metric.
-FactorEffect main_effect(const RawTable& table, const std::string& factor,
-                         const std::string& metric);
-
-/// Main effects of all factors, sorted by descending variance share.
+/// Main effects of all factors on a metric, sorted by descending
+/// variance share.  Throws std::invalid_argument on an empty table.
 std::vector<FactorEffect> main_effects(const RawTable& table,
                                        const std::string& metric);
-
-struct InteractionEffect {
-  std::string factor_a;
-  std::string factor_b;
-  /// Interaction sum of squares (cell SS minus both main-effect SS) over
-  /// total SS.  ~0 means the factors act additively.
-  double variance_share = 0.0;
-};
-
-InteractionEffect interaction_effect(const RawTable& table,
-                                     const std::string& factor_a,
-                                     const std::string& factor_b,
-                                     const std::string& metric);
 
 }  // namespace cal::stats

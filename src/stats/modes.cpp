@@ -103,22 +103,4 @@ Histogram histogram(std::span<const double> xs, std::size_t bins) {
   return h;
 }
 
-std::size_t Histogram::peak_count(std::size_t min_count) const {
-  // A peak is a maximal run of equal bins that is strictly higher than
-  // both neighbors (treating the outside as zero).  Plateaus count once.
-  std::size_t peaks = 0;
-  std::size_t i = 0;
-  while (i < counts.size()) {
-    std::size_t j = i;
-    while (j + 1 < counts.size() && counts[j + 1] == counts[i]) ++j;
-    const std::size_t left = i > 0 ? counts[i - 1] : 0;
-    const std::size_t right = j + 1 < counts.size() ? counts[j + 1] : 0;
-    if (counts[i] >= min_count && counts[i] > left && counts[i] > right) {
-      ++peaks;
-    }
-    i = j + 1;
-  }
-  return peaks;
-}
-
 }  // namespace cal::stats

@@ -47,9 +47,6 @@ ModeSplit split_modes(std::span<const double> xs, ModeOptions options = {});
 struct Histogram {
   double lo = 0.0, hi = 0.0, bin_width = 0.0;
   std::vector<std::size_t> counts;
-
-  /// Number of local maxima (modes) with count above `min_count`.
-  std::size_t peak_count(std::size_t min_count = 1) const;
 };
 
 Histogram histogram(std::span<const double> xs, std::size_t bins);

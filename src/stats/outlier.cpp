@@ -7,47 +7,6 @@
 
 namespace cal::stats {
 
-std::vector<std::size_t> iqr_outliers(std::span<const double> xs, double k) {
-  std::vector<std::size_t> out;
-  if (xs.size() < 4) return out;
-  const double q1 = quantile(xs, 0.25);
-  const double q3 = quantile(xs, 0.75);
-  const double iqr = q3 - q1;
-  const double lo = q1 - k * iqr;
-  const double hi = q3 + k * iqr;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] < lo || xs[i] > hi) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> zscore_outliers(std::span<const double> xs,
-                                         double threshold) {
-  std::vector<std::size_t> out;
-  if (xs.size() < 3) return out;
-  const double m = mean(xs);
-  const double sd = stddev(xs);
-  if (sd == 0.0) return out;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (std::abs(xs[i] - m) / sd > threshold) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<double> remove_indices(std::span<const double> xs,
-                                   std::span<const std::size_t> indices) {
-  std::vector<bool> drop(xs.size(), false);
-  for (const std::size_t i : indices) {
-    if (i < xs.size()) drop[i] = true;
-  }
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (!drop[i]) out.push_back(xs[i]);
-  }
-  return out;
-}
-
 OutlierDiagnosis diagnose_outliers(std::span<const double> xs,
                                    double z_threshold) {
   OutlierDiagnosis diag;

@@ -1,29 +1,17 @@
 #pragma once
-// Outlier handling: filters (what opaque tools do silently) and
-// diagnostics (what the methodology does instead).
+// Outlier diagnostics: what the methodology does instead of filtering.
 //
 // The paper's complaint is not that outliers are detected, but that they
 // are *silently removed* before the analyst ever sees them -- hiding real
-// phenomena such as the bimodal scheduler modes of Fig. 11.  We provide
-// both behaviours so the ablation benches can show the difference.
+// phenomena such as the bimodal scheduler modes of Fig. 11.  So the
+// library offers no filter: diagnose_outliers() flags the points and
+// reports whether they cluster in time, and the data stays whole.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 namespace cal::stats {
-
-/// Indices of points outside the IQR fences (q1/q3 -/+ k*iqr).
-std::vector<std::size_t> iqr_outliers(std::span<const double> xs,
-                                      double k = 1.5);
-
-/// Indices of points with |z| > threshold (mean/sd based).
-std::vector<std::size_t> zscore_outliers(std::span<const double> xs,
-                                         double threshold = 3.0);
-
-/// Copy with the given indices removed (the opaque behaviour).
-std::vector<double> remove_indices(std::span<const double> xs,
-                                   std::span<const std::size_t> indices);
 
 /// Outlier diagnostic for the analyst: how many, how extreme, and whether
 /// they are temporally clustered (suggesting a perturbation window, as in

@@ -9,15 +9,10 @@
 namespace cal::stats {
 
 double PiecewiseFit::predict(double x) const {
-  return segments[segment_of(x)].fit.predict(x);
-}
-
-std::size_t PiecewiseFit::segment_of(double x) const {
   if (segments.empty()) throw std::logic_error("PiecewiseFit: no segments");
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    if (x < segments[i].hi) return i;
-  }
-  return segments.size() - 1;
+  std::size_t i = 0;
+  while (i + 1 < segments.size() && !(x < segments[i].hi)) ++i;
+  return segments[i].fit.predict(x);
 }
 
 PiecewiseFit fit_piecewise(std::span<const double> xs,

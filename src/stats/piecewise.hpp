@@ -30,9 +30,6 @@ struct PiecewiseFit {
 
   /// Predicts with the segment containing x.
   double predict(double x) const;
-
-  /// Index of the segment containing x.
-  std::size_t segment_of(double x) const;
 };
 
 /// Fits a piecewise linear model with the given interior breakpoints.

@@ -51,17 +51,4 @@ LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-double line_rss(std::span<const double> xs, std::span<const double> ys,
-                double intercept, double slope) {
-  if (xs.size() != ys.size()) {
-    throw std::invalid_argument("line_rss: size mismatch");
-  }
-  double rss = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double r = ys[i] - (intercept + slope * xs[i]);
-    rss += r * r;
-  }
-  return rss;
-}
-
 }  // namespace cal::stats

@@ -23,8 +23,4 @@ struct LinearFit {
 /// as intercept.
 LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys);
 
-/// Residual sum of squares of an arbitrary (intercept, slope) line.
-double line_rss(std::span<const double> xs, std::span<const double> ys,
-                double intercept, double slope);
-
 }  // namespace cal::stats

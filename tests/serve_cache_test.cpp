@@ -1,12 +1,10 @@
 // BlockCache + CachingBlockSource unit suite: LRU hit/miss/evict under
-// byte pressure, the single-flight coalescing protocol (no double
-// decode, abandoned owners wake waiters), the disabled-cache identity
-// guarantee, zone-map-aware admission (pruned blocks never admitted),
-// and a multi-thread stress run.  Runs in the sanitize CI job.
+// byte pressure, the zero-budget identity guarantee, zone-map-aware
+// admission (pruned blocks never admitted), concurrent scans on one
+// source, and a multi-thread stress run.  Runs in the sanitize CI job.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <sstream>
 #include <thread>
@@ -45,9 +43,7 @@ TEST(BlockCache, HitMissAndLruRefreshUnderBytePressure) {
   BlockCache cache(options);
 
   for (std::uint32_t b = 0; b < 3; ++b) {
-    bool owner = false;
-    EXPECT_EQ(cache.get_or_begin(key_of(b), &owner), nullptr);
-    EXPECT_TRUE(owner);
+    EXPECT_EQ(cache.get(key_of(b)), nullptr);
     cache.insert(key_of(b), real_column(10, b));
   }
   EXPECT_EQ(cache.stats().entries, 3u);
@@ -67,39 +63,14 @@ TEST(BlockCache, HitMissAndLruRefreshUnderBytePressure) {
   EXPECT_LE(cache.stats().bytes, options.byte_budget);
 }
 
-TEST(BlockCache, EntryWiderThanBudgetServesWaitersButIsNotRetained) {
+TEST(BlockCache, EntryWiderThanBudgetIsNotRetained) {
   BlockCache::Options options;
   options.byte_budget = 100;
   BlockCache cache(options);
 
-  bool owner = false;
-  cache.get_or_begin(key_of(7), &owner);
-  ASSERT_TRUE(owner);
-
-  // A follower runs the full wait-or-retry protocol: a parked wait()
-  // receives the value directly; a late arrival sees the (unretained,
-  // already dropped) key as absent, retries, and owns the decode
-  // itself.  Either way it must end up with a value.
-  std::shared_ptr<const CachedColumn> seen;
-  std::thread waiter([&] {
-    seen = cache.wait(key_of(7));
-    while (seen == nullptr) {
-      bool late_owner = false;
-      seen = cache.get_or_begin(key_of(7), &late_owner);
-      if (seen != nullptr) break;
-      if (late_owner) {
-        seen = real_column(1000);
-        cache.insert(key_of(7), seen);
-      } else {
-        seen = cache.wait(key_of(7));
-      }
-    }
-  });
+  EXPECT_EQ(cache.get(key_of(7)), nullptr);
   cache.insert(key_of(7), real_column(1000));  // 8000 bytes > budget
-  waiter.join();
 
-  ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->f64.size(), 1000u);
   const BlockCache::Stats stats = cache.stats();
   EXPECT_GE(stats.rejected, 1u);
   EXPECT_EQ(stats.entries, 0u);
@@ -115,14 +86,9 @@ TEST(BlockCache, OverBudgetInsertsNeverChargeTheBudget) {
   options.byte_budget = 2 * 80;  // room for two 10-double columns
   BlockCache cache(options);
 
-  bool owner = false;
-  cache.get_or_begin(key_of(1), &owner);
   cache.insert(key_of(1), real_column(10));    // retained, 80 bytes
-  cache.get_or_begin(key_of(2), &owner);
   cache.insert(key_of(2), real_column(1000));  // 8000 bytes: rejected
-  cache.get_or_begin(key_of(3), &owner);
   cache.insert(key_of(3), real_column(10));    // retained
-  cache.get_or_begin(key_of(4), &owner);
   cache.insert(key_of(4), real_column(10));    // retained, evicts key 1
 
   const BlockCache::Stats stats = cache.stats();
@@ -146,9 +112,7 @@ TEST(BlockCache, ZeroBudgetRetainsNothingIncludingZeroByteColumns) {
   BlockCache cache(options);
 
   for (std::uint32_t b = 0; b < 4; ++b) {
-    bool owner = false;
-    cache.get_or_begin(key_of(b), &owner);
-    ASSERT_TRUE(owner);
+    ASSERT_EQ(cache.get(key_of(b)), nullptr);
     cache.insert(key_of(b), real_column(0));  // 0 accounting bytes
   }
   const BlockCache::Stats stats = cache.stats();
@@ -157,78 +121,6 @@ TEST(BlockCache, ZeroBudgetRetainsNothingIncludingZeroByteColumns) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(cache.get(key_of(0)), nullptr);
-}
-
-TEST(BlockCache, DisabledCacheAlwaysGrantsOwnershipAndDropsInserts) {
-  BlockCache::Options options;
-  options.enabled = false;
-  BlockCache cache(options);
-
-  for (int round = 0; round < 2; ++round) {
-    bool owner = false;
-    EXPECT_EQ(cache.get_or_begin(key_of(1), &owner), nullptr);
-    EXPECT_TRUE(owner);
-    cache.insert(key_of(1), real_column(4));
-  }
-  const BlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.inserts, 0u);
-}
-
-TEST(BlockCache, AbandonWakesWaiterWhoRetriesAndBecomesOwner) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(5), &owner);
-  ASSERT_TRUE(owner);
-
-  std::atomic<bool> retried_as_owner{false};
-  std::thread follower([&] {
-    bool follower_owner = false;
-    auto hit = cache.get_or_begin(key_of(5), &follower_owner);
-    EXPECT_EQ(hit, nullptr);
-    EXPECT_FALSE(follower_owner);  // the main thread owns the decode
-    hit = cache.wait(key_of(5));
-    EXPECT_EQ(hit, nullptr);  // abandoned: retry
-    hit = cache.get_or_begin(key_of(5), &follower_owner);
-    if (follower_owner) {
-      retried_as_owner.store(true);
-      cache.insert(key_of(5), real_column(2));
-    }
-  });
-  // Give the follower time to park in wait() before abandoning.
-  while (cache.stats().coalesced == 0) std::this_thread::yield();
-  cache.abandon(key_of(5));
-  follower.join();
-
-  EXPECT_TRUE(retried_as_owner.load());
-  EXPECT_NE(cache.get(key_of(5)), nullptr);
-  EXPECT_EQ(cache.stats().abandoned, 1u);
-}
-
-TEST(BlockCache, AbandonIsNoOpOnResolvedKeys) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(2), &owner);
-  cache.insert(key_of(2), real_column(3));
-  cache.abandon(key_of(2));  // blanket-abandon after success: no-op
-  cache.abandon(key_of(9));  // absent: no-op
-  EXPECT_NE(cache.get(key_of(2)), nullptr);
-  EXPECT_EQ(cache.stats().abandoned, 0u);
-}
-
-TEST(BlockCache, ClearDropsRetainedEntriesButKeepsCounters) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(1), &owner);
-  cache.insert(key_of(1), real_column(4));
-  cache.clear();
-  EXPECT_EQ(cache.get(key_of(1)), nullptr);
-  const BlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.inserts, 1u);  // lifetime counters survive
 }
 
 TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
@@ -247,21 +139,11 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
       for (int i = 0; i < kOps; ++i) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         const auto k = key_of(static_cast<std::uint32_t>(state % kKeys));
-        bool owner = false;
-        auto hit = cache.get_or_begin(k, &owner);
+        const auto hit = cache.get(k);
         if (hit != nullptr) {
           EXPECT_EQ(hit->f64.size(), 10u);
-          continue;
-        }
-        if (owner) {
-          if (state % 17 == 0) {
-            cache.abandon(k);  // simulated decode failure
-          } else {
-            cache.insert(k, real_column(10));
-          }
-        } else {
-          hit = cache.wait(k);  // value or abandoned-null both fine
-          if (hit != nullptr) EXPECT_EQ(hit->f64.size(), 10u);
+        } else if (state % 17 != 0) {  // else: simulated decode failure
+          cache.insert(k, real_column(10));
         }
       }
     });
@@ -271,7 +153,7 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
   const BlockCache::Stats stats = cache.stats();
   EXPECT_LE(stats.bytes, options.byte_budget);
   EXPECT_EQ(stats.bytes, stats.entries * 80u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
+  EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
@@ -341,7 +223,7 @@ TEST_F(CachingSourceTest, ByteIdenticalToDirectAtAnyCacheSizeAndWarmth) {
   serve::BlockCache::Options configs[3];
   configs[0] = {};                    // big: everything retained
   configs[1].byte_budget = 200;       // tiny: constant eviction
-  configs[2].enabled = false;         // disabled: transparent
+  configs[2].byte_budget = 0;         // retains nothing: transparent
   for (auto& config : configs) {
     serve::BlockCache cache(config);
     serve::CachingBlockSource source(reader, &cache, 0);
@@ -380,7 +262,7 @@ TEST_F(CachingSourceTest, WarmScanHitsAndAdmissionSkipsPrunedBlocks) {
   EXPECT_EQ(csv_of(warm), csv_of(cold));
 }
 
-TEST_F(CachingSourceTest, ConcurrentIdenticalScansNeverDoubleDecode) {
+TEST_F(CachingSourceTest, ConcurrentScansOnOneSourceStayByteIdentical) {
   const ar::BbxReader reader(dir_.string());
   serve::BlockCache cache;
   serve::CachingBlockSource source(reader, &cache, 0);
@@ -400,16 +282,12 @@ TEST_F(CachingSourceTest, ConcurrentIdenticalScansNeverDoubleDecode) {
   for (std::thread& t : threads) t.join();
   for (const std::string& csv : results) EXPECT_EQ(csv, expected);
 
-  // Single-flight: every needed (block, column) decoded exactly once
-  // across all six concurrent scans -- inserts equals the distinct key
-  // count one cold scan produces, and nothing was abandoned.
+  // Every scan looks each needed (block, column) up exactly once.
   const BlockCache::Stats stats = cache.stats();
   serve::BlockCache fresh;
   serve::CachingBlockSource fresh_source(reader, &fresh, 0);
   query::BundleQuery(reader, &fresh_source).aggregate(selective_spec());
-  EXPECT_EQ(stats.inserts, fresh.stats().inserts);
-  EXPECT_EQ(stats.abandoned, 0u);
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.misses,
+  EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kScanners) * fresh.stats().misses);
 }
 

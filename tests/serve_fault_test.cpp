@@ -97,16 +97,15 @@ class ServeFault : public ::testing::Test {
 };
 
 TEST_F(ServeFault, CacheInsertFailureErrorsTheRequestWithoutPoisoning) {
-  // First insert of the scan throws: the request must come back as an
-  // error and every decode the scan owned must be abandoned, not left
-  // pending (a poisoned pending entry would wedge the next scan).
+  // Every insert of the scan throws: the request must come back as an
+  // error and the failed scan must leave nothing in the cache.
   f::arm_spec("serve.cache_insert=error@1");
   QueryClient client = connect();
   const Response faulted = client.call(aggregate_request());
   EXPECT_EQ(faulted.status, Status::kError);
   EXPECT_NE(faulted.body.find("serve.cache_insert"), std::string::npos);
   EXPECT_GT(f::hits("serve.cache_insert"), 0u);
-  EXPECT_GT(server_->cache_stats().abandoned, 0u);
+  EXPECT_EQ(server_->cache_stats().entries, 0u);
 
   // Fault cleared: the same connection, same request, must now succeed
   // and match a never-faulted in-process run byte for byte.
@@ -120,9 +119,8 @@ TEST_F(ServeFault, CacheInsertFailureErrorsTheRequestWithoutPoisoning) {
 }
 
 TEST_F(ServeFault, EveryCacheInsertFailingStillRecoversAfterReset) {
-  // Not just the first insert: every insert of the scan fails.  The
-  // scan must abandon all of its ownerships so a retry can reclaim
-  // them, and the workers must stay usable.
+  // Every insert of two scans in a row fails.  The retry after the
+  // reset must decode afresh, and the workers must stay usable.
   f::arm_spec("serve.cache_insert=error");
   QueryClient client = connect();
   EXPECT_EQ(client.call(aggregate_request()).status, Status::kError);
@@ -159,8 +157,8 @@ TEST_F(ServeFault, WriteFrameFailureDropsTheClientButNotTheServer) {
 }
 
 TEST_F(ServeFault, DelayedCacheInsertKeepsConcurrentScansCorrect) {
-  // A slow (not failing) insert stretches the single-flight window so
-  // followers genuinely park in wait(); everyone must still agree.
+  // A slow (not failing) insert stretches each scan while a second
+  // client's request queues behind it; everyone must still agree.
   f::arm_spec("serve.cache_insert=delay:20@1");
   const Response reference = server_->execute(aggregate_request());
   ASSERT_EQ(reference.status, Status::kOk);

@@ -85,7 +85,10 @@ TEST(SimdKernels, DeltaVarintDecodeMatchesReferenceAtEveryLevel) {
     for (std::size_t i = 0; i < n; ++i) {
       std::int64_t delta = static_cast<std::int64_t>(rng() % 7) - 3;
       if (rng() % 13 == 0) delta = static_cast<std::int64_t>(rng());
-      values[i] = prev + delta;
+      // Wrapping add (a huge jump can overflow int64): the same bits the
+      // decoder's unsigned accumulator produces.
+      values[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
+                                            static_cast<std::uint64_t>(delta));
       ar::put_svarint(encoded, delta);
       prev = values[i];
     }

@@ -81,17 +81,10 @@ TEST(Histogram, CountsSumToN) {
   EXPECT_DOUBLE_EQ(h.hi, max_value(xs));
 }
 
-TEST(Histogram, BimodalHasTwoPeaks) {
-  const auto xs = bimodal_sample(100.0, 1000.0, 0.4, 4000, 5);
-  const Histogram h = histogram(xs, 30);
-  EXPECT_EQ(h.peak_count(/*min_count=*/40), 2u);
-}
-
 TEST(Histogram, ConstantDataSingleBin) {
   const std::vector<double> xs = {3.0, 3.0};
   const Histogram h = histogram(xs, 10);
   EXPECT_EQ(h.counts[0], 2u);
-  EXPECT_EQ(h.peak_count(), 1u);
 }
 
 TEST(Histogram, Validation) {

@@ -1,5 +1,4 @@
-// Tests for outlier filters (opaque behaviour) and outlier diagnostics
-// (white-box behaviour).
+// Tests for the outlier diagnostics.
 
 #include "stats/outlier.hpp"
 
@@ -11,52 +10,6 @@
 
 namespace cal::stats {
 namespace {
-
-TEST(IqrOutliers, FindsInjectedOutlier) {
-  std::vector<double> xs = {10, 11, 9, 10, 12, 10, 11, 500};
-  const auto idx = iqr_outliers(xs);
-  ASSERT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx[0], 7u);
-}
-
-TEST(IqrOutliers, EmptyOnCleanData) {
-  Rng rng(1);
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) xs.push_back(rng.uniform(10.0, 11.0));
-  EXPECT_TRUE(iqr_outliers(xs, 3.0).empty());
-}
-
-TEST(IqrOutliers, TooFewPointsNoFlags) {
-  EXPECT_TRUE(iqr_outliers(std::vector<double>{1, 1000}).empty());
-}
-
-TEST(ZscoreOutliers, FindsInjectedOutlier) {
-  Rng rng(2);
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(rng.normal(10.0, 1.0));
-  xs.push_back(100.0);
-  const auto idx = zscore_outliers(xs);
-  ASSERT_EQ(idx.size(), 1u);
-  EXPECT_EQ(idx[0], 200u);
-}
-
-TEST(ZscoreOutliers, ConstantDataNoFlags) {
-  const std::vector<double> xs = {5, 5, 5, 5};
-  EXPECT_TRUE(zscore_outliers(xs).empty());
-}
-
-TEST(RemoveIndices, RemovesExactly) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  const std::vector<std::size_t> drop = {1, 3};
-  const auto kept = remove_indices(xs, drop);
-  EXPECT_EQ(kept, (std::vector<double>{1, 3, 5}));
-}
-
-TEST(RemoveIndices, IgnoresOutOfRange) {
-  const std::vector<double> xs = {1, 2};
-  const std::vector<std::size_t> drop = {99};
-  EXPECT_EQ(remove_indices(xs, drop).size(), 2u);
-}
 
 TEST(Diagnosis, ScatteredOutliersNotClustered) {
   Rng rng(3);

@@ -37,8 +37,9 @@ TEST(Piecewise, PredictUsesCorrectSegment) {
   const PiecewiseFit fit = fit_piecewise(xs, ys, {50.0});
   EXPECT_NEAR(fit.predict(10.0), 20.0, 1e-9);
   EXPECT_NEAR(fit.predict(60.0), 200.0, 1e-9);
-  EXPECT_EQ(fit.segment_of(49.999), 0u);
-  EXPECT_EQ(fit.segment_of(50.0), 1u);
+  // Either side of the breakpoint: segment 0 below, segment 1 above.
+  EXPECT_NEAR(fit.predict(49.9), 99.8, 1e-9);
+  EXPECT_NEAR(fit.predict(50.5), 105.0, 1e-9);
 }
 
 TEST(Piecewise, BreakpointsAreSorted) {
